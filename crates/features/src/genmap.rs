@@ -313,7 +313,7 @@ mod tests {
                 }
                 // Occasionally force an early cull mid-window: it must
                 // be invisible to every subsequent op and fold.
-                if rng.next() % 7 == 0 {
+                if rng.next().is_multiple_of(7) {
                     gm.force_cull();
                 }
                 let mut got: Vec<(u32, u64)> = gm.iter().map(|(k, v)| (*k, *v)).collect();

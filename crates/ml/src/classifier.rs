@@ -324,7 +324,7 @@ mod tests {
         let total = model.predict_batch_spans_into(m.view(), &spans, &mut spanned, &mut span_work);
         assert_eq!(spanned, plain);
         assert_eq!(total, plain_work);
-        assert_eq!(span_work, vec![0 + 1 + 2, 0, 3 + 4 + 5 + 6]);
+        assert_eq!(span_work, vec![1 + 2, 0, 3 + 4 + 5 + 6]);
     }
 
     #[test]

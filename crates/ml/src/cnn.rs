@@ -24,8 +24,8 @@ use std::cell::RefCell;
 use netsim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{validate_matrix, validate_training_set, Classifier, TrainError};
-use crate::matrix::{matmul_nt, FeatureMatrix, MatrixView};
+use crate::classifier::{validate_matrix, validate_training_set, Classifier, RowSpan, TrainError};
+use crate::matrix::{FeatureMatrix, MatrixView};
 use crate::nn::{relu, relu_grad, softmax, softmax_into, Adam, Dense};
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::par;
@@ -36,6 +36,15 @@ const CNN_MAGIC: u32 = 0x636e_6e31; // "cnn1"
 /// the thread count) so partial-gradient sums always fold in the same
 /// order.
 const MICRO_BATCH: usize = 16;
+
+/// Rows the inference kernel runs through the network together. Each
+/// weight is loaded once per block and applied to every lane; 8 lanes
+/// keep a pooling pair's accumulators in registers.
+const LANES: usize = 8;
+
+/// Rows per parallel work unit of batch prediction: a fixed multiple
+/// of [`LANES`], never derived from the thread count.
+const BATCH_ROWS: usize = 64;
 
 /// Architecture and training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -126,26 +135,51 @@ impl Conv1d {
         out
     }
 
-    /// Writes the zero-padded im2col patch matrix for `input` (flat
-    /// channel-major `[in_ch][len]`): row `p` is the receptive field of
-    /// output position `p`, laid out `[i * kernel + k]` — exactly the
-    /// index order of one weight row, so `matmul_nt(w, patches, ..)`
-    /// accumulates in the same order as the scalar [`Conv1d::forward`].
-    fn im2col(&self, input: &[f64], len: usize, patches: &mut Vec<f64>) {
-        let half = (self.kernel / 2) as isize;
-        let k_total = self.in_ch * self.kernel;
-        patches.resize(len * k_total, 0.0);
-        for p in 0..len {
-            let row = &mut patches[p * k_total..(p + 1) * k_total];
-            for i in 0..self.in_ch {
-                let channel = &input[i * len..(i + 1) * len];
-                for k in 0..self.kernel {
-                    let src = p as isize + (k as isize - half) * self.dilation as isize;
-                    row[i * self.kernel + k] = if src >= 0 && (src as usize) < len {
-                        channel[src as usize]
-                    } else {
-                        0.0
-                    };
+    /// Zero halo each side of a padded input: the reach of the kernel's
+    /// outermost tap, so padded position `p + k * dilation` is the
+    /// input element (or padding zero) tap `k` of output `p` reads.
+    fn halo(&self) -> usize {
+        (self.kernel / 2) * self.dilation
+    }
+
+    /// Lockstep convolution → ReLU → max-pool over `L` lanes. `x` is the
+    /// zero-padded input, `[in_ch][len + 2·halo][L]`; the pooled output
+    /// of channel `o`, position `q` lands at
+    /// `out[(o * out_stride + out_pad + q) * L + lane]`. Each lane
+    /// accumulates `b + w·x` over taps in `[i * kernel + k]` order,
+    /// padding taps included (each adds `w * 0.0`); both positions of a
+    /// pooling pair share each weight load. The odd trailing position,
+    /// which the pool drops, is never computed.
+    fn pool_lanes<const L: usize>(
+        &self,
+        x: &[f64],
+        len: usize,
+        out: &mut [f64],
+        out_stride: usize,
+        out_pad: usize,
+    ) {
+        let channel_len = (len + 2 * self.halo()) * L;
+        let taps = self.in_ch * self.kernel;
+        for (o, w) in self.w.chunks_exact(taps).enumerate() {
+            for q in 0..len / 2 {
+                let (mut left, mut right) = ([self.b[o]; L], [self.b[o]; L]);
+                for (w_i, channel) in w.chunks_exact(self.kernel).zip(x.chunks_exact(channel_len)) {
+                    for (k, &wv) in w_i.iter().enumerate() {
+                        let at = (2 * q + k * self.dilation) * L;
+                        let (x0, x1) = channel[at..at + 2 * L].split_at(L);
+                        for ((a0, a1), (&v0, &v1)) in
+                            left.iter_mut().zip(&mut right).zip(x0.iter().zip(x1))
+                        {
+                            *a0 += wv * v0;
+                            *a1 += wv * v1;
+                        }
+                    }
+                }
+                relu(&mut left);
+                relu(&mut right);
+                let dst = &mut out[(o * out_stride + out_pad + q) * L..][..L];
+                for ((d, a), b) in dst.iter_mut().zip(left).zip(right) {
+                    *d = if a >= b { a } else { b };
                 }
             }
         }
@@ -206,23 +240,6 @@ fn maxpool2(x: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
     (out, arg)
 }
 
-/// Max pool (window 2, stride 2) over a flat channel-major `[channels][len]`
-/// buffer, refilling `out` as `[channels][len / 2]`. Ties prefer the left
-/// element, matching [`maxpool2`]. No argmax: the flat path is
-/// inference-only.
-fn maxpool2_flat(x: &[f64], channels: usize, len: usize, out: &mut Vec<f64>) {
-    let out_len = len / 2;
-    out.clear();
-    out.reserve(channels * out_len);
-    for c in 0..channels {
-        let channel = &x[c * len..(c + 1) * len];
-        for p in 0..out_len {
-            let (a, b) = (channel[2 * p], channel[2 * p + 1]);
-            out.push(if a >= b { a } else { b });
-        }
-    }
-}
-
 fn maxpool2_backward(grad_out: &[Vec<f64>], arg: &[Vec<usize>], in_len: usize) -> Vec<Vec<f64>> {
     let mut grad_in = vec![vec![0.0; in_len]; grad_out.len()];
     for c in 0..grad_out.len() {
@@ -233,35 +250,40 @@ fn maxpool2_backward(grad_out: &[Vec<f64>], arg: &[Vec<usize>], in_len: usize) -
     grad_in
 }
 
-/// Reusable buffers for the flat im2col inference path
-/// ([`Cnn::forward_scratch`]). All `Vec`s are cleared and refilled on
-/// each call, so a warmed-up scratch makes repeated prediction
-/// allocation-free.
+/// Lane-interleaved activations of one lockstep block: value `v` of
+/// lane `l` lives at `v * L + l`, so the innermost loop of every layer
+/// runs across rows. Every buffer is re-zeroed and refilled per block,
+/// so a warmed-up block makes repeated inference allocation-free.
 #[derive(Debug, Default)]
-pub struct CnnScratch {
-    /// im2col patch matrix (shared by both conv layers).
-    patches: Vec<f64>,
-    /// Conv1 pre/post-activation, flat `[out_ch][len]`.
-    z1: Vec<f64>,
-    /// Pooled conv1 activations, flat `[out_ch][len / 2]`.
+struct LaneBlock {
+    /// Zero-padded input rows, `[len + 2·halo1][L]`.
+    x: Vec<f64>,
+    /// Zero-padded pooled conv1 activations (conv2's input),
+    /// `[conv1_filters][len / 2 + 2·halo2][L]`.
     p1: Vec<f64>,
-    /// Conv2 pre/post-activation, flat `[out_ch][len / 2]`.
-    z2: Vec<f64>,
-    /// Pooled conv2 activations — already the dense layer's flat input.
-    p2: Vec<f64>,
-    /// Hidden dense pre/post-activation.
-    z3: Vec<f64>,
-    /// Output logits.
+    /// Pooled conv2 activations in the reference's flatten order — the
+    /// dense head's input, `[conv2_filters · pooled2][L]`.
+    flat: Vec<f64>,
+    /// Hidden dense activations, `[hidden][L]`.
+    hidden: Vec<f64>,
+    /// Output logits, `[CLASSES][L]`.
     logits: Vec<f64>,
-    /// Softmax class probabilities — the forward pass result.
+    /// One lane's softmax distribution.
     probs: Vec<f64>,
 }
 
 thread_local! {
-    /// Per-thread scratch backing [`Cnn::predict`] / [`Cnn::predict_proba`],
-    /// so steady-state inference allocates nothing without threading a
+    /// Per-thread block backing every inference entry point, so
+    /// steady-state prediction allocates nothing without threading a
     /// buffer through the [`Classifier`] trait.
-    static PREDICT_SCRATCH: RefCell<CnnScratch> = RefCell::new(CnnScratch::default());
+    static BLOCK: RefCell<LaneBlock> = RefCell::new(LaneBlock::default());
+}
+
+/// Clears `buf` to `n` zeros, reusing its capacity.
+fn zeroed(buf: &mut Vec<f64>, n: usize) -> &mut [f64] {
+    buf.clear();
+    buf.resize(n, 0.0);
+    buf
 }
 
 struct ForwardCache {
@@ -517,34 +539,85 @@ impl Cnn {
         let _ = self.conv1.backward(&cache.x0, &da1, &mut grads.c1w, &mut grads.c1b);
     }
 
-    /// The flat inference pass: im2col + [`matmul_nt`] per conv layer,
-    /// flat max-pooling, then the dense head, all into `scratch`'s
-    /// reused buffers (`scratch.probs` holds the result). Every
-    /// floating-point accumulation happens in the same order as the
-    /// nested-`Vec` [`Cnn::forward`], so the two produce bit-identical
-    /// probabilities; `forward` stays as the golden reference (and the
-    /// training path, which needs the cached activations).
-    pub fn forward_scratch(&self, features: &[f64], scratch: &mut CnnScratch) {
-        let len = features.len();
-        self.conv1.im2col(features, len, &mut scratch.patches);
-        let k1 = self.conv1.in_ch * self.conv1.kernel;
-        matmul_nt(&self.conv1.w, &scratch.patches, k1, &self.conv1.b, &mut scratch.z1);
-        relu(&mut scratch.z1);
-        maxpool2_flat(&scratch.z1, self.conv1.out_ch, len, &mut scratch.p1);
-
+    /// The row-lockstep inference kernel: runs up to `L` rows through
+    /// the network together, leaving lane `l`'s logits at
+    /// `block.logits[c * L + l]`. Lanes past `rows.len()` stay
+    /// zero-filled; lanes never mix, so their outputs are simply
+    /// ignored. Each lane reproduces the nested-`Vec` [`Cnn::forward`]
+    /// bit for bit (DESIGN.md §11.2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length is not the configured `input_len`.
+    fn forward_lanes<const L: usize>(&self, rows: &[&[f64]], block: &mut LaneBlock) {
+        debug_assert!(rows.len() <= L);
+        let len = self.config.input_len;
+        let (halo1, halo2) = (self.conv1.halo(), self.conv2.halo());
         let pooled1 = len / 2;
-        self.conv2.im2col(&scratch.p1, pooled1, &mut scratch.patches);
-        let k2 = self.conv2.in_ch * self.conv2.kernel;
-        matmul_nt(&self.conv2.w, &scratch.patches, k2, &self.conv2.b, &mut scratch.z2);
-        relu(&mut scratch.z2);
-        // The pooled channel-major buffer *is* the reference's flatten
-        // order, so it feeds the dense head directly.
-        maxpool2_flat(&scratch.z2, self.conv2.out_ch, pooled1, &mut scratch.p2);
+        let p1_stride = pooled1 + 2 * halo2;
 
-        self.fc1.forward_into(&scratch.p2, &mut scratch.z3);
-        relu(&mut scratch.z3);
-        self.fc2.forward_into(&scratch.z3, &mut scratch.logits);
-        softmax_into(&scratch.logits, &mut scratch.probs);
+        let x = zeroed(&mut block.x, (len + 2 * halo1) * L);
+        for (lane, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), len, "feature arity mismatch");
+            for (p, &v) in row.iter().enumerate() {
+                x[(halo1 + p) * L + lane] = v;
+            }
+        }
+        let p1 = zeroed(&mut block.p1, self.conv1.out_ch * p1_stride * L);
+        self.conv1.pool_lanes::<L>(&block.x, len, p1, p1_stride, halo2);
+        let flat = zeroed(&mut block.flat, self.fc1.input * L);
+        self.conv2.pool_lanes::<L>(&block.p1, pooled1, flat, pooled1 / 2, 0);
+        let hidden = zeroed(&mut block.hidden, self.fc1.output * L);
+        self.fc1.forward_lanes::<L>(&block.flat, hidden);
+        relu(hidden);
+        let logits = zeroed(&mut block.logits, CLASSES * L);
+        self.fc2.forward_lanes::<L>(&block.hidden, logits);
+    }
+
+    /// Softmax of lane `lane`'s logits into `block.probs`.
+    fn lane_probs<const L: usize>(block: &mut LaneBlock, lane: usize) -> &[f64] {
+        let logits: [f64; CLASSES] = std::array::from_fn(|c| block.logits[c * L + lane]);
+        softmax_into(&logits, &mut block.probs);
+        &block.probs
+    }
+
+    /// Classifies `rows` in [`LANES`]-wide lockstep blocks, appending
+    /// one class per row to `out` in order.
+    fn classify_rows<'a>(&self, rows: impl Iterator<Item = &'a [f64]>, out: &mut Vec<usize>) {
+        BLOCK.with(|block| {
+            let block = &mut *block.borrow_mut();
+            let mut group: [&[f64]; LANES] = [&[]; LANES];
+            let mut filled = 0;
+            let mut flush = |group: &[&[f64]], out: &mut Vec<usize>| {
+                self.forward_lanes::<LANES>(group, block);
+                for lane in 0..group.len() {
+                    out.push(class_of(Self::lane_probs::<LANES>(block, lane)));
+                }
+            };
+            for row in rows {
+                group[filled] = row;
+                filled += 1;
+                if filled == LANES {
+                    flush(&group, out);
+                    filled = 0;
+                }
+            }
+            if filled > 0 {
+                flush(&group[..filled], out);
+            }
+        });
+    }
+
+    /// Multiply-accumulates of one forward pass: each conv layer slides
+    /// its full weight tensor across its (unclipped) output positions,
+    /// and each dense layer touches every weight once. A deterministic
+    /// function of the architecture — boundary clipping is ignored.
+    fn macs_per_row(&self) -> u64 {
+        let pooled1 = self.config.input_len / 2;
+        (self.conv1.w.len() * self.config.input_len
+            + self.conv2.w.len() * pooled1
+            + self.fc1.w.len()
+            + self.fc2.w.len()) as u64
     }
 
     /// Cross-entropy loss on one sample (used by the gradient check).
@@ -555,10 +628,16 @@ impl Cnn {
 
     /// Class probabilities for one sample.
     pub fn predict_proba(&self, features: &[f64]) -> Vec<f64> {
-        PREDICT_SCRATCH.with(|s| {
-            let mut s = s.borrow_mut();
-            self.forward_scratch(features, &mut s);
-            s.probs.clone()
+        self.with_proba(features, <[f64]>::to_vec)
+    }
+
+    /// Runs one row through the kernel at block width 1 and hands its
+    /// class probabilities to `f`.
+    fn with_proba<T>(&self, features: &[f64], f: impl FnOnce(&[f64]) -> T) -> T {
+        BLOCK.with(|block| {
+            let block = &mut *block.borrow_mut();
+            self.forward_lanes::<1>(&[features], block);
+            f(Self::lane_probs::<1>(block, 0))
         })
     }
 
@@ -665,30 +744,63 @@ impl Cnn {
     }
 }
 
+/// The verdict for a class distribution: malicious when it outweighs
+/// benign.
+fn class_of(probs: &[f64]) -> usize {
+    usize::from(probs[1] > probs[0])
+}
+
 impl Classifier for Cnn {
     fn name(&self) -> &'static str {
         "CNN"
     }
 
     fn predict(&self, features: &[f64]) -> usize {
-        PREDICT_SCRATCH.with(|s| {
-            let mut s = s.borrow_mut();
-            self.forward_scratch(features, &mut s);
-            usize::from(s.probs[1] > s.probs[0])
-        })
+        self.with_proba(features, class_of)
     }
 
     fn predict_with_work(&self, features: &[f64]) -> (usize, u64) {
-        // Multiply-accumulates of one forward pass: each conv layer slides
-        // its full weight tensor across its (unclipped) output positions,
-        // and each dense layer touches every weight once. A deterministic
-        // function of the architecture — boundary clipping is ignored.
-        let pooled1 = self.config.input_len / 2;
-        let macs = (self.conv1.w.len() * self.config.input_len
-            + self.conv2.w.len() * pooled1
-            + self.fc1.w.len()
-            + self.fc2.w.len()) as u64;
-        (self.predict(features), macs)
+        (self.predict(features), self.macs_per_row())
+    }
+
+    fn predict_batch(&self, view: MatrixView<'_>) -> Vec<usize> {
+        self.predict_batch_with_work(view).0
+    }
+
+    fn predict_batch_with_work(&self, view: MatrixView<'_>) -> (Vec<usize>, u64) {
+        // Fixed-size row blocks keep the split deterministic at any
+        // thread count; each block runs the lockstep kernel serially.
+        let parts = par::par_chunks(view.n_rows(), BATCH_ROWS, |rows| {
+            let mut classes = Vec::with_capacity(rows.len());
+            self.classify_rows(rows.map(|i| view.row(i)), &mut classes);
+            classes
+        });
+        (parts.concat(), self.macs_per_row() * view.n_rows() as u64)
+    }
+
+    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
+        out.clear();
+        out.reserve(view.n_rows());
+        self.classify_rows(view.rows(), out);
+        self.macs_per_row() * view.n_rows() as u64
+    }
+
+    fn predict_batch_spans_into(
+        &self,
+        view: MatrixView<'_>,
+        spans: &[RowSpan],
+        out: &mut Vec<usize>,
+        span_work: &mut Vec<u64>,
+    ) -> u64 {
+        // Lanes are independent, so blocks may straddle span boundaries:
+        // the spans' rows stream through the kernel back to back.
+        out.clear();
+        out.reserve(spans.iter().map(|s| s.len).sum());
+        self.classify_rows(spans.iter().flat_map(RowSpan::range).map(|i| view.row(i)), out);
+        let macs = self.macs_per_row();
+        span_work.clear();
+        span_work.extend(spans.iter().map(|s| macs * s.len as u64));
+        span_work.iter().sum()
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -867,30 +979,101 @@ mod tests {
         assert!(correct as f64 / x.len() as f64 > 0.95, "train acc {correct}/300");
     }
 
-    /// The im2col scratch path must reproduce the nested-`Vec` reference
-    /// forward pass bit for bit — on freshly initialised and on trained
-    /// networks, across seeds, including the zero-padded borders.
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn random_matrix(rows: usize, dims: usize, rng: &mut SimRng) -> FeatureMatrix {
+        let mut m = FeatureMatrix::new(dims);
+        for _ in 0..rows {
+            let row: Vec<f64> = (0..dims).map(|_| rng.standard_normal()).collect();
+            m.push_row(&row);
+        }
+        m
+    }
+
+    /// Lockstep logits and probabilities of every row of `view`, run in
+    /// `L`-row blocks (the last one short when `L` does not divide the
+    /// row count).
+    fn lockstep_outputs<const L: usize>(net: &Cnn, view: MatrixView<'_>) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let rows: Vec<&[f64]> = view.rows().collect();
+        let mut block = LaneBlock::default();
+        let mut out = Vec::new();
+        for group in rows.chunks(L) {
+            net.forward_lanes::<L>(group, &mut block);
+            for lane in 0..group.len() {
+                let logits: Vec<f64> = (0..CLASSES).map(|c| block.logits[c * L + lane]).collect();
+                let probs = Cnn::lane_probs::<L>(&mut block, lane);
+                out.push((bits(&logits), bits(probs)));
+            }
+        }
+        out
+    }
+
+    /// Checks every inference entry point of `net` on the rows of
+    /// `view` against the nested-`Vec` reference forward pass.
+    fn assert_matches_reference(net: &Cnn, view: MatrixView<'_>, what: &str) {
+        let reference: Vec<_> = view
+            .rows()
+            .map(|row| {
+                let cache = net.forward(row);
+                (bits(&net.fc2.forward(&cache.a3)), bits(&cache.probs))
+            })
+            .collect();
+        assert_eq!(lockstep_outputs::<LANES>(net, view), reference, "{what}, 8 lanes");
+        assert_eq!(lockstep_outputs::<1>(net, view), reference, "{what}, 1 lane");
+
+        let classes: Vec<usize> = view.rows().map(|r| class_of(&net.forward(r).probs)).collect();
+        let per_row: Vec<(usize, u64)> = view.rows().map(|r| net.predict_with_work(r)).collect();
+        let per_row_classes: Vec<usize> = per_row.iter().map(|p| p.0).collect();
+        assert_eq!(per_row_classes, classes, "{what}: predict");
+        let mut into = Vec::new();
+        let into_work = net.predict_batch_into(view, &mut into);
+        assert_eq!(into, classes, "{what}: predict_batch_into");
+        assert_eq!(net.predict_batch_with_work(view), (classes.clone(), into_work), "{what}");
+
+        // Spans of length 0 and 1 and ones that straddle lane blocks,
+        // tiling the view.
+        let mut spans: Vec<RowSpan> = [(0, 0), (0, 1), (1, 0), (1, 9), (10, 1), (11, 0)]
+            .map(|(start, len)| RowSpan { start, len })
+            .to_vec();
+        spans.push(RowSpan { start: 11, len: view.n_rows() - 11 });
+        let (mut spanned, mut span_work) = (Vec::new(), Vec::new());
+        let total = net.predict_batch_spans_into(view, &spans, &mut spanned, &mut span_work);
+        assert_eq!(spanned, classes, "{what}: spans");
+        let expected_work: Vec<u64> =
+            spans.iter().map(|s| per_row[s.range()].iter().map(|p| p.1).sum()).collect();
+        assert_eq!(span_work, expected_work, "{what}: span work");
+        assert_eq!(total, into_work, "{what}: total work");
+    }
+
+    /// The row-lockstep kernel must reproduce the nested-`Vec`
+    /// reference forward pass bit for bit — logits and probabilities —
+    /// at block widths 8 and 1, on fresh and trained networks, across
+    /// seeds, the tiny and the default architecture and signal lengths
+    /// (odd lengths drop a pooled position), with row counts that leave
+    /// a short tail block and through subset views. Every batch entry
+    /// point must then agree with the reference verdicts, and span work
+    /// must equal per-row work.
     #[test]
-    fn forward_scratch_matches_reference_bits_across_seeds() {
-        let bits = |probs: &[f64]| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        for seed in 31..36 {
-            let mut rng = SimRng::seed_from(seed);
-            let config = tiny_config();
-            let init = Cnn::init(config, &mut rng);
-            let (x, y) = separable_data(80, config.input_len, &mut rng);
-            let trained =
-                Cnn::fit(&x, &y, &CnnConfig { epochs: 3, ..config }, &mut rng).unwrap();
-            let mut scratch = CnnScratch::default();
-            for net in [&init, &trained] {
-                for xi in &x {
-                    let reference = net.forward(xi).probs;
-                    net.forward_scratch(xi, &mut scratch);
-                    assert_eq!(
-                        bits(&reference),
-                        bits(&scratch.probs),
-                        "seed {seed}: scratch path diverged from reference"
-                    );
-                    assert_eq!(net.predict(xi), usize::from(reference[1] > reference[0]));
+    fn lockstep_kernel_matches_reference_bits() {
+        for arch in [tiny_config(), CnnConfig::default()] {
+            for input_len in [26, 23, 9, 8] {
+                for seed in 31..34 {
+                    let mut rng = SimRng::seed_from(seed);
+                    let config = CnnConfig { input_len, epochs: 2, ..arch };
+                    let init = Cnn::init(config, &mut rng);
+                    let (x, y) = separable_data(60, input_len, &mut rng);
+                    let trained = Cnn::fit(&x, &y, &config, &mut rng).unwrap();
+                    let m = random_matrix(19, input_len, &mut rng);
+                    let subset = [18, 3, 3, 0, 11, 7, 16, 2, 9, 5, 14];
+                    for net in [&init, &trained] {
+                        for view in [m.view(), m.subset(&subset)] {
+                            let what =
+                                format!("{} filters, input_len {input_len}, seed {seed}", arch.conv2_filters);
+                            assert_matches_reference(net, view, &what);
+                        }
+                    }
                 }
             }
         }
@@ -963,5 +1146,20 @@ mod tests {
             })
         };
         assert_eq!(run(1), run(4));
+    }
+
+    /// Batch prediction splits rows into fixed lockstep blocks, so the
+    /// classes and work totals are identical at any thread budget.
+    #[test]
+    fn batch_prediction_is_thread_count_invariant() {
+        let mut rng = SimRng::seed_from(9);
+        let (x, y) = separable_data(120, 8, &mut rng);
+        let net = Cnn::fit(&x, &y, &CnnConfig { epochs: 2, ..tiny_config() }, &mut rng).unwrap();
+        let m = random_matrix(203, 8, &mut rng);
+        let run = |threads: usize| crate::par::with_threads(threads, || net.predict_batch_with_work(m.view()));
+        let (classes, work) = run(1);
+        assert_eq!(run(4), (classes.clone(), work));
+        assert_eq!(classes, m.view().rows().map(|r| net.predict(r)).collect::<Vec<_>>());
+        assert!(classes.contains(&0) && classes.contains(&1), "both classes exercised");
     }
 }

@@ -27,24 +27,38 @@ impl Dense {
 
     /// `y = W x + b`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.output);
-        self.forward_into(x, &mut out);
-        out
+        (0..self.output)
+            .map(|o| {
+                self.b[o]
+                    + self.w[o * self.input..(o + 1) * self.input]
+                        .iter()
+                        .zip(x)
+                        .map(|(w, v)| w * v)
+                        .sum::<f64>()
+            })
+            .collect()
     }
 
-    /// `y = W x + b` into a caller-owned buffer (cleared and refilled,
-    /// reusing capacity). Accumulation order is identical to
-    /// [`Dense::forward`] — the two produce bit-identical outputs.
-    pub fn forward_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.output).map(|o| {
-            self.b[o]
-                + self.w[o * self.input..(o + 1) * self.input]
-                    .iter()
-                    .zip(x)
-                    .map(|(w, v)| w * v)
-                    .sum::<f64>()
-        }));
+    /// `y = W x + b` for `L` lane-interleaved inputs at once: input `i`
+    /// of lane `l` is `x[i * L + l]`, output `o` lands at
+    /// `out[o * L + l]`. Each weight is loaded once and applied to every
+    /// lane. Every lane folds its products in index order from `Sum`'s
+    /// own start value and adds the bias last, so it matches
+    /// [`Dense::forward`] bit for bit.
+    pub fn forward_lanes<const L: usize>(&self, x: &[f64], out: &mut [f64]) {
+        let start: f64 = std::iter::empty::<f64>().sum();
+        for (o, dst) in out.chunks_exact_mut(L).enumerate() {
+            let mut acc = [start; L];
+            let w = &self.w[o * self.input..(o + 1) * self.input];
+            for (&wv, xs) in w.iter().zip(x.chunks_exact(L)) {
+                for (a, &v) in acc.iter_mut().zip(xs) {
+                    *a += wv * v;
+                }
+            }
+            for (d, a) in dst.iter_mut().zip(acc) {
+                *d = self.b[o] + a;
+            }
+        }
     }
 
     /// Backpropagates `grad_out`, accumulating parameter gradients into

@@ -4,20 +4,21 @@
 //! harness as `netsim`'s flood test; the crate-level
 //! `#![forbid(unsafe_code)]` covers `src/`, the shim lives in this
 //! integration test only). After one warm-up pass grows every reusable
-//! buffer — the caller's prediction `Vec`, the CNN's thread-local
-//! im2col scratch — repeated `predict_batch_into` sweeps over a random
-//! forest and repeated single-row CNN predictions must perform **zero**
-//! heap allocations.
+//! buffer — the caller's prediction and span-work `Vec`s, the CNN's
+//! thread-local lane block — repeated `predict_batch_into` sweeps over a
+//! random forest, repeated single-row CNN predictions and repeated CNN
+//! span-batch passes must perform **zero** heap allocations.
 //!
-//! This is the teeth behind ISSUE 6's inference memory model: the SoA
-//! node pool walks flat slices, the im2col path reuses one scratch per
-//! thread, and any regression that reintroduces a per-row or per-layer
-//! `Vec` fails here rather than showing up only as a bench slowdown.
+//! This is the teeth behind the inference memory model: the SoA node
+//! pool walks flat slices, the lockstep CNN kernel reuses one lane block
+//! per thread, and any regression that reintroduces a per-row or
+//! per-layer `Vec` fails here rather than showing up only as a bench
+//! slowdown.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ml::classifier::Classifier;
+use ml::classifier::{Classifier, RowSpan};
 use ml::cnn::{Cnn, CnnConfig};
 use ml::matrix::FeatureMatrix;
 use ml::rf::{ForestConfig, RandomForest};
@@ -95,16 +96,25 @@ fn steady_state_prediction_allocates_nothing() {
     let cnn_config = CnnConfig { input_len: DIMS, epochs: 1, ..CnnConfig::default() };
     let cnn = Cnn::fit_view(matrix.view(), &labels, &cnn_config, &mut rng).unwrap();
 
-    // Warm-up: grow the caller's output buffer and the CNN's
-    // thread-local im2col scratch to their working set.
+    // Span layout of a coalesced batch: empty and one-row spans, and
+    // spans that straddle lane blocks and leave a short tail block.
+    let spans = [(0, 13), (13, 0), (13, 1), (14, 250), (264, 136)]
+        .map(|(start, len)| RowSpan { start, len });
+
+    // Warm-up: grow the caller's output buffers and the CNN's
+    // thread-local lane block to their working set.
     let mut predictions = Vec::new();
     let warm_work = forest.predict_batch_into(matrix.view(), &mut predictions);
     assert!(warm_work > 0);
     assert_eq!(predictions.len(), matrix.n_rows());
     let warm_class = cnn.predict(matrix.row(0));
+    let (mut cnn_classes, mut span_work) = (Vec::new(), Vec::new());
+    let warm_span_work =
+        cnn.predict_batch_spans_into(matrix.view(), &spans, &mut cnn_classes, &mut span_work);
+    let warm_classes = cnn_classes.clone();
 
-    // Steady state: full-dataset forest sweeps and per-row CNN calls,
-    // with the allocator watching.
+    // Steady state: full-dataset forest sweeps, per-row CNN calls and
+    // CNN span batches, with the allocator watching.
     COUNTING.with(|c| c.set(true));
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut checksum = 0usize;
@@ -114,6 +124,11 @@ fn steady_state_prediction_allocates_nothing() {
     }
     for i in 0..matrix.n_rows() {
         checksum += cnn.predict(matrix.row(i));
+    }
+    for _ in 0..3 {
+        let work =
+            cnn.predict_batch_spans_into(matrix.view(), &spans, &mut cnn_classes, &mut span_work);
+        checksum += cnn_classes.iter().sum::<usize>() + work as usize;
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     COUNTING.with(|c| c.set(false));
@@ -125,4 +140,6 @@ fn steady_state_prediction_allocates_nothing() {
         after - before
     );
     assert_eq!(cnn.predict(matrix.row(0)), warm_class);
+    assert_eq!(cnn_classes, warm_classes);
+    assert_eq!(span_work.iter().sum::<u64>(), warm_span_work);
 }

@@ -9,7 +9,9 @@
 //! - the labelled dataset CSV export (as FNV-1a hash + byte length —
 //!   the full export is several megabytes),
 //! - the live run's full telemetry text export,
-//! - the per-window alert stream (`DetectionLog::serialize_compact`).
+//! - the per-window alert stream (`DetectionLog::serialize_compact`),
+//!   for the K-Means IDS and, separately, for the CNN IDS (the CNN
+//!   stream pins the batched inference kernel's verdicts).
 //!
 //! It also asserts plain same-seed reproducibility (two in-process runs
 //! are byte-identical), independent of the fixtures.
@@ -25,6 +27,7 @@ use ddoshield::Testbed;
 use features::extract::{Window, WindowAggregator, DEFAULT_ACK_GRACE_SECS};
 use features::window::{AckGrace, WindowStats};
 use ids::pipeline::{IdsConfig, ModelKind, TrainedIds};
+use ml::cnn::CnnConfig;
 use ml::kmeans::KMeansConfig;
 use netsim::time::SimDuration;
 use netsim::SimRng;
@@ -36,9 +39,13 @@ fn scale() -> ExperimentScale {
     ExperimentScale { capture_secs: 40, live_secs: 30, max_train_samples: 2_000, cnn_epochs: 2 }
 }
 
-/// One full capture → train → live pass at a fixed seed, returning
-/// (dataset CSV, telemetry text, alert stream).
-fn produce_artifacts() -> (String, String, String) {
+fn kmeans() -> ModelKind {
+    ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() })
+}
+
+/// One full capture → train `model` → live pass at a fixed seed,
+/// returning (dataset CSV, telemetry text, alert stream).
+fn produce_artifacts(model: &ModelKind) -> (String, String, String) {
     let scale = scale();
 
     let mut testbed = Testbed::deploy(training_scenario(SEED, scale.capture_secs));
@@ -52,7 +59,7 @@ fn produce_artifacts() -> (String, String, String) {
     let mut rng = SimRng::seed_from(SEED ^ 0x7ea1);
     let outcome = TrainedIds::train(
         &capture,
-        &ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() }),
+        model,
         ids_config,
         &mut rng,
     )
@@ -96,10 +103,10 @@ fn check_fixture(name: &str, produced: &str) {
 
 #[test]
 fn pipeline_outputs_are_byte_identical_to_golden_and_across_runs() {
-    let (csv_a, telemetry_a, alerts_a) = produce_artifacts();
+    let (csv_a, telemetry_a, alerts_a) = produce_artifacts(&kmeans());
 
     // Same-seed reproducibility within this build.
-    let (csv_b, telemetry_b, alerts_b) = produce_artifacts();
+    let (csv_b, telemetry_b, alerts_b) = produce_artifacts(&kmeans());
     assert_eq!(csv_a, csv_b, "dataset export differs across same-seed runs");
     assert_eq!(telemetry_a, telemetry_b, "telemetry differs across same-seed runs");
     assert_eq!(alerts_a, alerts_b, "alert stream differs across same-seed runs");
@@ -117,6 +124,16 @@ fn pipeline_outputs_are_byte_identical_to_golden_and_across_runs() {
     );
     check_fixture("telemetry.txt", &telemetry_legacy);
     check_fixture("alerts.txt", &alerts_a);
+}
+
+/// The CNN IDS's live alert stream at the same seed and scale, pinned
+/// against a fixture captured from the per-row im2col inference path:
+/// the row-lockstep batch kernel must reproduce every verdict.
+#[test]
+fn cnn_alert_stream_is_byte_identical_to_golden() {
+    let model = ModelKind::Cnn(CnnConfig { epochs: scale().cnn_epochs, ..CnnConfig::default() });
+    let (_, _, alerts) = produce_artifacts(&model);
+    check_fixture("alerts_cnn.txt", &alerts);
 }
 
 /// Streams `records` through the incremental (`FlowDelta`-backed)
