@@ -364,6 +364,18 @@ mod tests {
         assert!(Dataset::read_csv(io::BufReader::new(bad.as_bytes())).is_err());
     }
 
+    /// A malformed row fails as `InvalidData` and the message names its
+    /// 1-based line number (the header is line 1).
+    #[test]
+    fn malformed_row_error_names_its_line() {
+        let mut buf = Vec::new();
+        Dataset::from_records(vec![record(1, Label::Benign)]).write_csv(&mut buf).unwrap();
+        buf.extend_from_slice(b"5,10.0.0.1,80,10.0.0.300,80,6,2,40,0,7,benign\n");
+        let err = Dataset::read_csv(io::BufReader::new(&buf[..])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad csv row 3:"), "{err}");
+    }
+
     #[test]
     fn duration_spans_first_to_last() {
         let ds = Dataset::from_records(vec![record(500, Label::Benign), record(2_500, Label::Benign)]);

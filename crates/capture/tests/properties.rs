@@ -96,6 +96,35 @@ proptest! {
         prop_assert_eq!(a.len(), expected);
     }
 
+    /// Arbitrary bytes never panic the CSV reader: they parse or fail
+    /// as `InvalidData` (non-UTF-8 input and malformed rows alike).
+    #[test]
+    fn read_csv_never_panics_on_garbage(blob in proptest::collection::vec(any::<u8>(), 0..512)) {
+        if let Err(e) = Dataset::read_csv(BufReader::new(&blob[..])) {
+            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        }
+    }
+
+    /// A valid export with bytes overwritten by CSV-ish characters —
+    /// which reaches every field parser, not just the first — still
+    /// parses or fails as `InvalidData`.
+    #[test]
+    fn read_csv_never_panics_on_corrupted_rows(
+        records in proptest::collection::vec(record_strategy(), 1..20),
+        edits in proptest::collection::vec((any::<usize>(), 0usize..16), 1..12),
+    ) {
+        const ALPHABET: &[u8; 16] = b"0123456789,.-\nbm";
+        let mut buf = Vec::new();
+        Dataset::from_records(records).write_csv(&mut buf).unwrap();
+        for (at, byte) in edits {
+            let at = at % buf.len();
+            buf[at] = ALPHABET[byte];
+        }
+        if let Err(e) = Dataset::read_csv(BufReader::new(&buf[..])) {
+            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        }
+    }
+
     /// `from_records` output is always time-sorted.
     #[test]
     fn datasets_are_time_sorted(records in proptest::collection::vec(record_strategy(), 0..200)) {

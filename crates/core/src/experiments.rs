@@ -177,6 +177,16 @@ impl ModelReport {
     }
 }
 
+/// Runs a live phase whose meter feeds a CPU % figure (Table II, E7,
+/// E8), with inference pinned to one thread. The meter's CPU % is each
+/// tick's wall-clock busy time, which equals CPU time only while predict
+/// runs on one core — a parallel predict would read cheaper the more
+/// cores the host has. Verdicts are identical at any thread count, so
+/// only the meter sees the pin.
+fn run_metered_live(live: &mut Testbed, live_secs: u64, ids: TrainedIds) -> LiveReport {
+    ml::par::with_threads(1, || live.run_live(SimDuration::from_secs(live_secs), ids))
+}
+
 /// Runs the complete evaluation: one training capture, three model
 /// trainings, and one (identical, same-seed) live deployment per model.
 pub fn run_full_evaluation(seed: u64, scale: &ExperimentScale) -> FullReport {
@@ -203,7 +213,7 @@ pub fn run_full_evaluation(seed: u64, scale: &ExperimentScale) -> FullReport {
             let mut live = Testbed::deploy(detection_scenario(seed, scale.live_secs, epoch_offset));
             live.run_infection_lead();
             let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
-            let report = live.run_live(SimDuration::from_secs(scale.live_secs), outcome.ids);
+            let report = run_metered_live(&mut live, scale.live_secs, outcome.ids);
             ModelReport {
                 name: kind.name(),
                 train_metrics: outcome.holdout_metrics,
@@ -244,7 +254,7 @@ pub fn run_extended_evaluation(seed: u64, scale: &ExperimentScale) -> FullReport
             let mut live = Testbed::deploy(detection_scenario(seed, scale.live_secs, epoch_offset));
             live.run_infection_lead();
             let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
-            let report = live.run_live(SimDuration::from_secs(scale.live_secs), outcome.ids);
+            let report = run_metered_live(&mut live, scale.live_secs, outcome.ids);
             ModelReport {
                 name: kind.name(),
                 train_metrics: outcome.holdout_metrics,
@@ -764,7 +774,7 @@ pub fn run_window_ablation(seed: u64, scale: &ExperimentScale, periods: &[u64]) 
             let mut live = Testbed::deploy(detection_scenario(seed, scale.live_secs, epoch_offset));
             live.run_infection_lead();
             let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
-            let report = live.run_live(SimDuration::from_secs(scale.live_secs), outcome.ids);
+            let report = run_metered_live(&mut live, scale.live_secs, outcome.ids);
             WindowAblationPoint {
                 stats_period,
                 cpu_percent: report.sustainability.cpu_percent,

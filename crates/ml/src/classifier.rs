@@ -1,9 +1,16 @@
 //! The common interface the IDS uses to drive any of the three models.
 
+use std::cell::Cell;
+
 use crate::codec::DecodeError;
 use crate::matrix::MatrixView;
 use crate::metrics::{ConfusionMatrix, MetricsReport};
 use crate::par;
+
+/// Rows per block of batch prediction: the unit
+/// [`Classifier::predict_block`] receives and the parallel driver
+/// schedules. A fixed constant, never derived from the thread count.
+pub const BLOCK_ROWS: usize = 64;
 
 /// A contiguous run of matrix rows belonging to one logical unit (a
 /// window, a tenant) inside a coalesced batch. The serving layer stacks
@@ -54,53 +61,39 @@ pub trait Classifier: Send + Sync {
         (self.predict(features), 0)
     }
 
-    /// Classifies every row visible through a flat matrix view (default:
-    /// rows in parallel, results in row order — identical output at any
-    /// thread count). All batch feature data travels as
-    /// [`crate::matrix::FeatureMatrix`] rows; there is no nested-`Vec`
-    /// batch path.
-    fn predict_batch(&self, view: MatrixView<'_>) -> Vec<usize> {
-        par::par_map_indexed(view.n_rows(), |i| self.predict(view.row(i)))
-    }
-
-    /// Classifies every row of a view and totals the deterministic work
-    /// units (see [`Classifier::predict_with_work`]). Rows run in
-    /// parallel; integer summation makes the total independent of
-    /// completion order, so the figure is thread-count invariant.
-    fn predict_batch_with_work(&self, view: MatrixView<'_>) -> (Vec<usize>, u64) {
-        let results =
-            par::par_map_indexed(view.n_rows(), |i| self.predict_with_work(view.row(i)));
-        let work = results.iter().map(|&(_, w)| w).sum();
-        (results.into_iter().map(|(class, _)| class).collect(), work)
-    }
-
-    /// Serial, allocation-free batch prediction into a caller-owned
-    /// buffer: `out` is cleared and refilled, reusing its capacity. This
-    /// is the real-time IDS hot path — after warm-up a steady-state
-    /// window classifies without touching the allocator. Returns the
-    /// summed deterministic work units; row order (and therefore the
-    /// work total) matches [`Classifier::predict_batch_with_work`].
-    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
-        out.clear();
-        out.reserve(view.n_rows());
-        let mut work = 0u64;
-        for i in 0..view.n_rows() {
-            let (class, w) = self.predict_with_work(view.row(i));
-            out.push(class);
-            work += w;
+    /// Classifies the view rows named by `rows` into `out`, one
+    /// `(class, work)` pair per row (`out.len() == rows.len()`): the
+    /// batched form of [`Classifier::predict_with_work`], and the one
+    /// batch kernel a model specialises. Every batch entry point runs it
+    /// over fixed [`BLOCK_ROWS`]-row blocks, on several threads at once;
+    /// a block may hold rows of several spans. Each pair must equal
+    /// [`Classifier::predict_with_work`] on that row. The default is that
+    /// per-row loop.
+    fn predict_block(&self, view: MatrixView<'_>, rows: &[usize], out: &mut [(usize, u64)]) {
+        for (slot, &i) in out.iter_mut().zip(rows) {
+            *slot = self.predict_with_work(view.row(i));
         }
-        work
     }
 
     /// Classifies the rows of several disjoint, in-order [`RowSpan`]s in
     /// one pass: `out` receives every span's predictions back to back
     /// (span order), `span_work` receives one deterministic work total
-    /// per span, and the return value is the grand total. Per-row
-    /// predictions and work are identical to
-    /// [`Classifier::predict_batch_into`] over the same rows — batching
-    /// across spans must never change any output — which is what lets
-    /// the serving layer coalesce all tenants' windows into one matrix
-    /// pass while keeping per-window work attribution exact.
+    /// per span, and the return value is the grand total. Both buffers
+    /// are cleared and refilled, reusing their capacity, so after
+    /// warm-up a steady-state pass does not touch the allocator on the
+    /// calling thread.
+    ///
+    /// The spans' rows, back to back, are cut into fixed
+    /// [`BLOCK_ROWS`]-row blocks — a block may straddle spans, so short
+    /// spans still fill a block — and the blocks run through
+    /// [`Classifier::predict_block`] in parallel ([`par::par_blocks`]).
+    /// The kernel reports work per row, so each span's total is exact
+    /// wherever the block edges fall. Block boundaries never depend on
+    /// the thread count, so classes and per-span work are identical at
+    /// any thread count and equal to per-row
+    /// [`Classifier::predict_with_work`] — which is what lets the
+    /// serving layer coalesce all tenants' windows into one matrix pass
+    /// while keeping per-window work attribution exact.
     fn predict_batch_spans_into(
         &self,
         view: MatrixView<'_>,
@@ -108,22 +101,33 @@ pub trait Classifier: Send + Sync {
         out: &mut Vec<usize>,
         span_work: &mut Vec<u64>,
     ) -> u64 {
-        out.clear();
-        out.reserve(spans.iter().map(|s| s.len).sum());
         span_work.clear();
-        span_work.reserve(spans.len());
-        let mut total = 0u64;
-        for span in spans {
-            let mut work = 0u64;
-            for i in span.range() {
-                let (class, w) = self.predict_with_work(view.row(i));
-                out.push(class);
-                work += w;
-            }
-            span_work.push(work);
-            total += work;
-        }
-        total
+        span_work.resize(spans.len(), 0);
+        predict_spans(self, view, spans, out, span_work)
+    }
+
+    /// Classifies every row of a view into a caller-owned buffer (`out`
+    /// is cleared and refilled, reusing its capacity) and returns the
+    /// summed work units: the span driver over one whole-view span.
+    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
+        let whole = [RowSpan { start: 0, len: view.n_rows() }];
+        predict_spans(self, view, &whole, out, &mut [0])
+    }
+
+    /// Classifies every row of a view and totals the deterministic work
+    /// units (see [`Classifier::predict_with_work`]).
+    fn predict_batch_with_work(&self, view: MatrixView<'_>) -> (Vec<usize>, u64) {
+        let mut out = Vec::new();
+        let work = self.predict_batch_into(view, &mut out);
+        (out, work)
+    }
+
+    /// Classifies every row visible through a flat matrix view, in row
+    /// order. All batch feature data travels as
+    /// [`crate::matrix::FeatureMatrix`] rows; there is no nested-`Vec`
+    /// batch path.
+    fn predict_batch(&self, view: MatrixView<'_>) -> Vec<usize> {
+        self.predict_batch_with_work(view).0
     }
 
     /// Serialises the model (the PKL-file analogue). The blob length is
@@ -138,6 +142,54 @@ pub trait Classifier: Send + Sync {
     /// can feed several independent deployments (e.g. a swarm of
     /// buggify runs replaying the same trained IDS under many seeds).
     fn clone_box(&self) -> Box<dyn Classifier>;
+}
+
+/// The span driver's per-thread scratch: the spans' view rows back to
+/// back, and one `(class, work)` slot per row.
+#[derive(Default)]
+struct SpanScratch {
+    rows: Vec<usize>,
+    results: Vec<(usize, u64)>,
+}
+
+thread_local! {
+    /// Taken out for a driver call and put back after it, so a warm
+    /// thread reuses both buffers and a nested call on the same thread
+    /// just starts with empty ones.
+    static SPAN_SCRATCH: Cell<SpanScratch> =
+        const { Cell::new(SpanScratch { rows: Vec::new(), results: Vec::new() }) };
+}
+
+/// The span driver behind every batch entry point: fills `out` with the
+/// spans' classes and `span_work` (one slot per span) with their work.
+fn predict_spans<C: Classifier + ?Sized>(
+    model: &C,
+    view: MatrixView<'_>,
+    spans: &[RowSpan],
+    out: &mut Vec<usize>,
+    span_work: &mut [u64],
+) -> u64 {
+    debug_assert_eq!(spans.len(), span_work.len());
+    let SpanScratch { mut rows, mut results } = SPAN_SCRATCH.take();
+    rows.clear();
+    rows.extend(spans.iter().flat_map(RowSpan::range));
+    results.clear();
+    results.resize(rows.len(), (0, 0));
+    par::par_blocks(&mut results, BLOCK_ROWS, |first, block| {
+        model.predict_block(view, &rows[first..first + block.len()], block);
+    });
+    out.clear();
+    out.extend(results.iter().map(|&(class, _)| class));
+    let mut total = 0u64;
+    let mut rest = &results[..];
+    for (span, work) in spans.iter().zip(span_work) {
+        let (head, tail) = rest.split_at(span.len);
+        rest = tail;
+        *work = head.iter().map(|&(_, w)| w).sum();
+        total += *work;
+    }
+    SPAN_SCRATCH.set(SpanScratch { rows, results });
+    total
 }
 
 impl Clone for Box<dyn Classifier> {

@@ -24,7 +24,7 @@ use std::cell::RefCell;
 use netsim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{validate_matrix, validate_training_set, Classifier, RowSpan, TrainError};
+use crate::classifier::{validate_matrix, validate_training_set, Classifier, TrainError};
 use crate::matrix::{FeatureMatrix, MatrixView};
 use crate::nn::{relu, relu_grad, softmax, softmax_into, Adam, Dense};
 use crate::codec::{DecodeError, Decoder, Encoder};
@@ -41,10 +41,6 @@ const MICRO_BATCH: usize = 16;
 /// weight is loaded once per block and applied to every lane; 8 lanes
 /// keep a pooling pair's accumulators in registers.
 const LANES: usize = 8;
-
-/// Rows per parallel work unit of batch prediction: a fixed multiple
-/// of [`LANES`], never derived from the thread count.
-const BATCH_ROWS: usize = 64;
 
 /// Architecture and training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -581,33 +577,6 @@ impl Cnn {
         &block.probs
     }
 
-    /// Classifies `rows` in [`LANES`]-wide lockstep blocks, appending
-    /// one class per row to `out` in order.
-    fn classify_rows<'a>(&self, rows: impl Iterator<Item = &'a [f64]>, out: &mut Vec<usize>) {
-        BLOCK.with(|block| {
-            let block = &mut *block.borrow_mut();
-            let mut group: [&[f64]; LANES] = [&[]; LANES];
-            let mut filled = 0;
-            let mut flush = |group: &[&[f64]], out: &mut Vec<usize>| {
-                self.forward_lanes::<LANES>(group, block);
-                for lane in 0..group.len() {
-                    out.push(class_of(Self::lane_probs::<LANES>(block, lane)));
-                }
-            };
-            for row in rows {
-                group[filled] = row;
-                filled += 1;
-                if filled == LANES {
-                    flush(&group, out);
-                    filled = 0;
-                }
-            }
-            if filled > 0 {
-                flush(&group[..filled], out);
-            }
-        });
-    }
-
     /// Multiply-accumulates of one forward pass: each conv layer slides
     /// its full weight tensor across its (unclipped) output positions,
     /// and each dense layer touches every weight once. A deterministic
@@ -763,44 +732,22 @@ impl Classifier for Cnn {
         (self.predict(features), self.macs_per_row())
     }
 
-    fn predict_batch(&self, view: MatrixView<'_>) -> Vec<usize> {
-        self.predict_batch_with_work(view).0
-    }
-
-    fn predict_batch_with_work(&self, view: MatrixView<'_>) -> (Vec<usize>, u64) {
-        // Fixed-size row blocks keep the split deterministic at any
-        // thread count; each block runs the lockstep kernel serially.
-        let parts = par::par_chunks(view.n_rows(), BATCH_ROWS, |rows| {
-            let mut classes = Vec::with_capacity(rows.len());
-            self.classify_rows(rows.map(|i| view.row(i)), &mut classes);
-            classes
+    fn predict_block(&self, view: MatrixView<'_>, rows: &[usize], out: &mut [(usize, u64)]) {
+        let work = self.macs_per_row();
+        // Rows go through the kernel in `LANES`-wide lockstep groups.
+        BLOCK.with(|block| {
+            let block = &mut *block.borrow_mut();
+            for (group_rows, slots) in rows.chunks(LANES).zip(out.chunks_mut(LANES)) {
+                let mut group: [&[f64]; LANES] = [&[]; LANES];
+                for (lane, &row) in group.iter_mut().zip(group_rows) {
+                    *lane = view.row(row);
+                }
+                self.forward_lanes::<LANES>(&group[..slots.len()], block);
+                for (lane, slot) in slots.iter_mut().enumerate() {
+                    *slot = (class_of(Self::lane_probs::<LANES>(block, lane)), work);
+                }
+            }
         });
-        (parts.concat(), self.macs_per_row() * view.n_rows() as u64)
-    }
-
-    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
-        out.clear();
-        out.reserve(view.n_rows());
-        self.classify_rows(view.rows(), out);
-        self.macs_per_row() * view.n_rows() as u64
-    }
-
-    fn predict_batch_spans_into(
-        &self,
-        view: MatrixView<'_>,
-        spans: &[RowSpan],
-        out: &mut Vec<usize>,
-        span_work: &mut Vec<u64>,
-    ) -> u64 {
-        // Lanes are independent, so blocks may straddle span boundaries:
-        // the spans' rows stream through the kernel back to back.
-        out.clear();
-        out.reserve(spans.iter().map(|s| s.len).sum());
-        self.classify_rows(spans.iter().flat_map(RowSpan::range).map(|i| view.row(i)), out);
-        let macs = self.macs_per_row();
-        span_work.clear();
-        span_work.extend(spans.iter().map(|s| macs * s.len as u64));
-        span_work.iter().sum()
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -843,6 +790,7 @@ impl Classifier for Cnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::RowSpan;
 
     fn tiny_config() -> CnnConfig {
         CnnConfig {

@@ -18,10 +18,11 @@
 //! partial results fold in chunk order — same input, same seed, same
 //! model at any thread count.
 
+
 use netsim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{Classifier, RowSpan, TrainError};
+use crate::classifier::{Classifier, TrainError};
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::matrix::{FeatureMatrix, MatrixView};
 use crate::par;
@@ -326,6 +327,14 @@ fn kmeans_plus_plus(view: MatrixView<'_>, k: usize, rng: &mut SimRng) -> Vec<Vec
 pub struct KMeansDetector {
     model: KMeans,
     cluster_labels: Vec<usize>,
+    /// The centroids flattened into one contiguous buffer, `k × dims`
+    /// values centroid-major, so the batch kernel's per-row sweep walks
+    /// a single cache-friendly slice instead of chasing one heap pointer
+    /// per centroid. Derived from `model` at construction and never
+    /// serialized.
+    flat: Vec<f64>,
+    /// Centroid dimensionality (0 for a dimensionless model).
+    dims: usize,
 }
 
 impl KMeansDetector {
@@ -355,7 +364,14 @@ impl KMeansDetector {
         }
         let cluster_labels =
             (0..k).map(|j| usize::from(positives[j] * 2 > totals[j].max(1))).collect();
-        Ok(KMeansDetector { model, cluster_labels })
+        Ok(KMeansDetector::from_parts(model, cluster_labels))
+    }
+
+    /// Assembles a detector, deriving the flat centroid buffer.
+    fn from_parts(model: KMeans, cluster_labels: Vec<usize>) -> Self {
+        let dims = model.centroids().first().map_or(0, Vec::len);
+        let flat = model.centroids().concat();
+        KMeansDetector { model, cluster_labels, flat, dims }
     }
 
     /// Clusters `x` unsupervised, then labels each cluster with the
@@ -387,33 +403,14 @@ impl KMeansDetector {
         &self.cluster_labels
     }
 
-    /// Flattens the centroids into one contiguous buffer for the batch
-    /// predict path: `k × dims` values, centroid-major, so the per-row
-    /// centroid sweep walks a single cache-friendly slice instead of
-    /// chasing one heap pointer per centroid. Returns the buffer and
-    /// `dims`.
-    fn flat_centroids(&self) -> (Vec<f64>, usize) {
-        let dims = self.model.centroids().first().map_or(0, Vec::len);
-        let mut flat = Vec::with_capacity(self.model.k() * dims);
-        for c in self.model.centroids() {
-            flat.extend_from_slice(c);
-        }
-        (flat, dims)
-    }
-
-    /// Classifies `rows` of `view` against the flattened centroids,
-    /// appending one class per row to `out`. Same arithmetic (a
-    /// sequential squared-distance sweep per centroid) and the same
-    /// strict-`<` tie-breaking as [`KMeans::assign`], so batch
+    /// Classifies the view rows named by `rows` against the flattened
+    /// centroids, one `(class, work)` pair per row into `out`. Same
+    /// arithmetic (a sequential squared-distance sweep per centroid) and
+    /// the same strict-`<` tie-breaking as [`KMeans::assign`], so batch
     /// predictions are bit-identical to the per-row path.
-    fn assign_rows_flat(
-        &self,
-        view: MatrixView<'_>,
-        rows: std::ops::Range<usize>,
-        flat: &[f64],
-        dims: usize,
-        out: &mut Vec<usize>,
-    ) {
+    fn assign_rows_flat(&self, view: MatrixView<'_>, rows: &[usize], out: &mut [(usize, u64)]) {
+        let (flat, dims) = (&self.flat[..], self.dims);
+        let work = (self.model.k() * dims) as u64;
         // Four rows share each pass over the centroid buffer. A single
         // row's distance is a sequential dims-long add chain — latency
         // bound — but different rows' chains are independent, so
@@ -421,12 +418,13 @@ impl KMeansDetector {
         // row's operation order: each accumulator still sums its
         // squared differences in dimension order, bit-identical to the
         // one-row sweep below.
-        let mut i = rows.start;
-        while i + 4 <= rows.end {
-            let x0 = &view.row(i)[..dims];
-            let x1 = &view.row(i + 1)[..dims];
-            let x2 = &view.row(i + 2)[..dims];
-            let x3 = &view.row(i + 3)[..dims];
+        let mut quads = rows.chunks_exact(4);
+        let mut slots = out.chunks_exact_mut(4);
+        for (quad, quad_out) in (&mut quads).zip(&mut slots) {
+            let x0 = &view.row(quad[0])[..dims];
+            let x1 = &view.row(quad[1])[..dims];
+            let x2 = &view.row(quad[2])[..dims];
+            let x3 = &view.row(quad[3])[..dims];
             let mut best = [0usize; 4];
             let mut best_d = [f64::INFINITY; 4];
             for (j, c) in flat.chunks_exact(dims).enumerate() {
@@ -444,13 +442,12 @@ impl KMeansDetector {
                     }
                 }
             }
-            for lane in best {
-                out.push(self.cluster_labels[lane]);
+            for (slot, &cluster) in quad_out.iter_mut().zip(&best) {
+                *slot = (self.cluster_labels[cluster], work);
             }
-            i += 4;
         }
-        for i in i..rows.end {
-            let x = view.row(i);
+        for (slot, &row) in slots.into_remainder().iter_mut().zip(quads.remainder()) {
+            let x = view.row(row);
             let mut best = 0;
             let mut best_d = f64::INFINITY;
             for (j, c) in flat.chunks_exact(dims).enumerate() {
@@ -460,7 +457,7 @@ impl KMeansDetector {
                     best = j;
                 }
             }
-            out.push(self.cluster_labels[best]);
+            *slot = (self.cluster_labels[best], work);
         }
     }
 
@@ -485,10 +482,10 @@ impl KMeansDetector {
         if cluster_labels.len() != k || proportions.len() != k {
             return Err(DecodeError::Corrupt("label/proportion arity"));
         }
-        Ok(KMeansDetector {
-            model: KMeans { centroids, proportions, inertia: 0.0, iterations: 0 },
+        Ok(KMeansDetector::from_parts(
+            KMeans { centroids, proportions, inertia: 0.0, iterations: 0 },
             cluster_labels,
-        })
+        ))
     }
 }
 
@@ -504,60 +501,18 @@ impl Classifier for KMeansDetector {
     fn predict_with_work(&self, features: &[f64]) -> (usize, u64) {
         // Assignment computes one squared distance per centroid, each a
         // dims-long multiply-add sweep.
-        let dims = self.model.centroids().first().map_or(0, Vec::len) as u64;
-        (self.predict(features), self.model.k() as u64 * dims)
+        (self.predict(features), (self.model.k() * self.dims) as u64)
     }
 
-    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
-        out.clear();
-        out.reserve(view.n_rows());
-        let (flat, dims) = self.flat_centroids();
-        if dims == 0 {
+    fn predict_block(&self, view: MatrixView<'_>, rows: &[usize], out: &mut [(usize, u64)]) {
+        if self.dims == 0 {
             // Degenerate dimensionless model: keep the per-row path.
-            let mut work = 0u64;
-            for i in 0..view.n_rows() {
-                let (class, w) = self.predict_with_work(view.row(i));
-                out.push(class);
-                work += w;
+            for (slot, &i) in out.iter_mut().zip(rows) {
+                *slot = self.predict_with_work(view.row(i));
             }
-            return work;
+            return;
         }
-        self.assign_rows_flat(view, 0..view.n_rows(), &flat, dims, out);
-        (view.n_rows() * self.model.k() * dims) as u64
-    }
-
-    fn predict_batch_spans_into(
-        &self,
-        view: MatrixView<'_>,
-        spans: &[RowSpan],
-        out: &mut Vec<usize>,
-        span_work: &mut Vec<u64>,
-    ) -> u64 {
-        out.clear();
-        out.reserve(spans.iter().map(|s| s.len).sum());
-        span_work.clear();
-        span_work.reserve(spans.len());
-        let (flat, dims) = self.flat_centroids();
-        let per_row = (self.model.k() * dims) as u64;
-        let mut total = 0u64;
-        for span in spans {
-            if dims == 0 {
-                let mut work = 0u64;
-                for i in span.range() {
-                    let (class, w) = self.predict_with_work(view.row(i));
-                    out.push(class);
-                    work += w;
-                }
-                span_work.push(work);
-                total += work;
-                continue;
-            }
-            self.assign_rows_flat(view, span.range(), &flat, dims, out);
-            let work = span.len as u64 * per_row;
-            span_work.push(work);
-            total += work;
-        }
-        total
+        self.assign_rows_flat(view, rows, out);
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -573,7 +528,7 @@ impl Classifier for KMeansDetector {
     }
 
     fn memory_bytes(&self) -> u64 {
-        let dims = self.model.centroids().first().map_or(0, Vec::len);
+        let dims = self.dims;
         ((self.model.k() * dims + self.model.k()) * std::mem::size_of::<f64>()
             + self.cluster_labels.len() * std::mem::size_of::<usize>()) as u64
     }
@@ -586,6 +541,7 @@ impl Classifier for KMeansDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::RowSpan;
 
     fn blobs(n: usize, centers: &[(f64, f64)], rng: &mut SimRng) -> (Vec<Vec<f64>>, Vec<usize>) {
         let mut x = Vec::new();

@@ -11,6 +11,8 @@
 //!   size is a caller-supplied constant, never derived from the thread
 //!   count) so that per-chunk partial sums, folded in chunk order by the
 //!   caller, always add in the same sequence.
+//! * [`par_blocks`] fills an output slice in the same fixed-size blocks
+//!   without allocating. It is what batch inference runs on.
 //!
 //! [`with_threads`] scopes a thread-budget override to a closure, which
 //! is how the determinism property tests compare a 1-thread run against
@@ -100,6 +102,53 @@ where
     })
 }
 
+/// Cuts `out` into fixed `block`-sized pieces (the last may be short)
+/// and calls `f(first, piece)` on each, where `first` is the piece's
+/// offset in `out`. Pieces run in parallel via recursive
+/// [`rayon::join`] over `split_at_mut` halves, so nothing is allocated,
+/// and serially in order when the thread budget is one. Block
+/// boundaries depend only on `out.len()` and `block`, so a closure that
+/// computes each piece from its offset alone fills `out` identically at
+/// any thread count.
+///
+/// # Panics
+///
+/// Panics if `block == 0`.
+pub fn par_blocks<T, F>(out: &mut [T], block: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(block > 0, "block size must be positive");
+    if effective_threads() <= 1 {
+        for (b, piece) in out.chunks_mut(block).enumerate() {
+            f(b * block, piece);
+        }
+        return;
+    }
+    split_blocks(out, 0, block, &f);
+}
+
+fn split_blocks<T, F>(out: &mut [T], first: usize, block: usize, f: &F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let blocks = out.len().div_ceil(block);
+    if blocks <= 1 {
+        if !out.is_empty() {
+            f(first, out);
+        }
+        return;
+    }
+    let (left, right) = out.split_at_mut(blocks / 2 * block);
+    let mid = first + left.len();
+    rayon::join(
+        || split_blocks(left, first, block, f),
+        || split_blocks(right, mid, block, f),
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +192,27 @@ mod tests {
             })
         };
         assert_eq!(sum(1).to_bits(), sum(7).to_bits());
+    }
+
+    #[test]
+    fn blocks_are_fixed_at_any_thread_count() {
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let run = |threads: usize| {
+                let mut out = vec![usize::MAX; len];
+                with_threads(threads, || {
+                    par_blocks(&mut out, 64, |first, piece| {
+                        for (i, slot) in piece.iter_mut().enumerate() {
+                            *slot = first * 1000 + i;
+                        }
+                    })
+                });
+                out
+            };
+            let serial = run(1);
+            let expected: Vec<usize> = (0..len).map(|i| (i / 64 * 64) * 1000 + i % 64).collect();
+            assert_eq!(serial, expected, "len {len}");
+            assert_eq!(run(4), serial, "len {len}");
+        }
     }
 
     #[test]

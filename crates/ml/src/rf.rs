@@ -15,7 +15,7 @@
 use netsim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{validate_matrix, validate_training_set, Classifier, RowSpan, TrainError};
+use crate::classifier::{validate_matrix, validate_training_set, Classifier, TrainError};
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::matrix::{FeatureMatrix, MatrixView};
 use crate::par;
@@ -25,11 +25,6 @@ const FOREST_MAGIC: u32 = 0x666f_7273; // "fors"
 
 /// Marks a leaf in the structure-of-arrays node pool's `feature` lane.
 const LEAF_SENTINEL: u32 = u32::MAX;
-
-/// Rows per parallel block in batch prediction. A fixed constant (never
-/// derived from the thread count) keeps the work split — and therefore
-/// the result concatenation order — identical on every machine.
-const BATCH_ROWS: usize = 64;
 
 /// Rows walked in lockstep per tree inside a block. Small enough that
 /// the lane cursors live in registers, wide enough to overlap one
@@ -565,58 +560,50 @@ impl NodePool {
         (usize::from(votes * 2 > self.roots.len()), work)
     }
 
-    /// Accumulates per-row votes for a block of at most [`BATCH_ROWS`]
-    /// rows, walking every tree over all rows in lockstep: each pass of
-    /// the inner loop advances every row by one level, so the
-    /// dependent-load chain of a single root-to-leaf walk is hidden
-    /// behind the independent loads of its 63 neighbours. The pass count
-    /// is the tree's precomputed max depth and rows that reach a leaf
-    /// early self-loop there via the same select as the child step —
-    /// the body has no data-dependent branches at all.
-    ///
-    /// `votes` is overwritten; `work` accrues the same visited-node
-    /// count, node for node, as the one-row [`Self::walk`]: each row
-    /// pays `depth_of` of the leaf it lands on — its exact path length.
-    fn predict_block(&self, rows: &[&[f64]], votes: &mut [u32], work: &mut u64) {
-        let m = rows.len();
-        debug_assert!(m <= BATCH_ROWS && votes.len() == m);
-        votes.fill(0);
-        let mut w = 0u64;
-        for (&root, &depth) in self.roots.iter().zip(&self.depths) {
-            let mut i = 0;
-            while i + PREDICT_LANES <= m {
-                let group: [&[f64]; PREDICT_LANES] =
-                    rows[i..i + PREDICT_LANES].try_into().expect("group width");
+    /// Classifies the view rows named by `rows` into `out`, one
+    /// `(class, visited nodes)` pair per row. Rows go in groups of
+    /// [`PREDICT_LANES`]; each group walks every tree in turn
+    /// ([`Self::walk_group`]) while its rows stay in cache, and collects
+    /// their votes. A ragged tail uses the one-row
+    /// [`Self::predict_with_work`]. Every row pays `depth_of` of the leaf
+    /// it lands on — its exact path length — and votes with that leaf's
+    /// class, so classes and work equal the one-row walk, node for node.
+    fn predict_block(&self, view: MatrixView<'_>, rows: &[usize], out: &mut [(usize, u64)]) {
+        debug_assert_eq!(out.len(), rows.len());
+        let n_trees = self.roots.len();
+        let mut groups = out.chunks_exact_mut(PREDICT_LANES);
+        let mut row_groups = rows.chunks_exact(PREDICT_LANES);
+        for (slots, group_rows) in (&mut groups).zip(&mut row_groups) {
+            let group: [&[f64]; PREDICT_LANES] = std::array::from_fn(|l| view.row(group_rows[l]));
+            let mut votes = [0u32; PREDICT_LANES];
+            let mut work = [0u64; PREDICT_LANES];
+            for (&root, &depth) in self.roots.iter().zip(&self.depths) {
                 let leaves = self.walk_group(&group, root, depth);
-                for &leaf in &leaves {
+                for ((vote, visited), &leaf) in votes.iter_mut().zip(&mut work).zip(&leaves) {
                     debug_assert_eq!(self.feature[leaf as usize], LEAF_SENTINEL);
-                    w += u64::from(self.depth_of[leaf as usize]);
+                    *visited += u64::from(self.depth_of[leaf as usize]);
+                    *vote += self.class_of[leaf as usize];
                 }
-                for lane in 0..PREDICT_LANES {
-                    votes[i + lane] += self.class_of[leaves[lane] as usize];
-                }
-                i += PREDICT_LANES;
             }
-            // Ragged tail: the plain serial walk, which counts its own
-            // exact path length.
-            for r in i..m {
-                let (class, visited) = self.walk(root, rows[r]);
-                votes[r] += class;
-                w += visited;
+            for ((slot, &vote), &visited) in slots.iter_mut().zip(&votes).zip(&work) {
+                *slot = (usize::from(vote as usize * 2 > n_trees), visited);
             }
         }
-        *work += w;
+        for (slot, &row) in groups.into_remainder().iter_mut().zip(row_groups.remainder()) {
+            *slot = self.predict_with_work(view.row(row));
+        }
     }
 
     /// Walks `LANES` rows down one tree in lockstep, returning each
-    /// lane's leaf id. Each pass of the outer loop advances every lane
-    /// by one level, so the dependent-load chain of a single
-    /// root-to-leaf walk is hidden behind the independent loads of its
-    /// neighbours. The pass count is the tree's precomputed max depth;
-    /// lanes that reach a leaf early park there via the leaf's
-    /// self-loop children — the step body is the same
-    /// load/compare/select for every node kind, with no data-dependent
-    /// branch and no work bookkeeping (the caller reads `depth_of`).
+    /// lane's leaf id. Each pass advances every lane by one level, so
+    /// the dependent-load chain of a single root-to-leaf walk is hidden
+    /// behind the independent loads of its neighbours. Lanes that reach
+    /// a leaf park there via the leaf's self-looping children — the step
+    /// body is the same load/compare/select for every node kind, with no
+    /// data-dependent branch and no work bookkeeping (the caller reads
+    /// `depth_of`). The walk stops after the first pass in which no lane
+    /// moved, i.e. once every lane is parked, so a group pays for its
+    /// deepest path rather than the tree's max depth (`depth` bounds it).
     #[inline]
     fn walk_group<const LANES: usize>(
         &self,
@@ -627,6 +614,7 @@ impl NodePool {
         let mut cur = [root; LANES];
         // A path of d nodes needs d-1 advances; `depth` bounds d.
         for _ in 1..depth {
+            let mut moved = false;
             for lane in 0..LANES {
                 let node = cur[lane] as usize;
                 let f = self.step_feature[node] as usize;
@@ -638,24 +626,15 @@ impl NodePool {
                 let go_left = group[lane][f] <= self.threshold[node];
                 let l = self.left[node];
                 let r = self.right[node];
-                cur[lane] = if go_left { l } else { r };
+                let next = if go_left { l } else { r };
+                moved |= next as usize != node;
+                cur[lane] = next;
+            }
+            if !moved {
+                break;
             }
         }
         cur
-    }
-
-    /// Classifies a block of rows via [`Self::predict_block`].
-    fn predict_rows(&self, view: MatrixView<'_>, rows: std::ops::Range<usize>) -> (Vec<usize>, u64) {
-        let m = rows.len();
-        let mut row_refs: [&[f64]; BATCH_ROWS] = [&[]; BATCH_ROWS];
-        for (i, r) in rows.enumerate() {
-            row_refs[i] = view.row(r);
-        }
-        let mut votes = [0u32; BATCH_ROWS];
-        let mut work = 0u64;
-        self.predict_block(&row_refs[..m], &mut votes[..m], &mut work);
-        let n = self.roots.len();
-        (votes[..m].iter().map(|&v| usize::from(v as usize * 2 > n)).collect(), work)
     }
 }
 
@@ -768,48 +747,6 @@ impl RandomForest {
             (0..count).map(|_| DecisionTree::decode_from(&mut d)).collect::<Result<_, _>>()?;
         Ok(RandomForest::from_trees(trees, dims))
     }
-
-    /// Tree-outer lockstep vote accumulation over a contiguous row
-    /// range: raw malicious-vote counts land in `votes` (one slot per
-    /// row, pre-zeroed by the caller) and the return value is the
-    /// visited-node work. Shared core of
-    /// [`Classifier::predict_batch_into`] and the span variant — lane
-    /// grouping depends on where the range starts, but every row pays
-    /// the exact path length of the leaf it lands on and votes with that
-    /// leaf's class, so the split into ranges can never change any
-    /// output.
-    fn lockstep_votes(
-        &self,
-        view: MatrixView<'_>,
-        rows: std::ops::Range<usize>,
-        votes: &mut [usize],
-    ) -> u64 {
-        debug_assert_eq!(votes.len(), rows.len());
-        let base = rows.start;
-        let m = rows.len();
-        let mut work = 0u64;
-        for (&root, &depth) in self.pool.roots.iter().zip(&self.pool.depths) {
-            let mut i = 0;
-            while i + PREDICT_LANES <= m {
-                let group: [&[f64]; PREDICT_LANES] =
-                    std::array::from_fn(|l| view.row(base + i + l));
-                let leaves = self.pool.walk_group(&group, root, depth);
-                for &leaf in &leaves {
-                    work += u64::from(self.pool.depth_of[leaf as usize]);
-                }
-                for lane in 0..PREDICT_LANES {
-                    votes[i + lane] += self.pool.class_of[leaves[lane] as usize] as usize;
-                }
-                i += PREDICT_LANES;
-            }
-            for (r, v) in votes.iter_mut().enumerate().skip(i) {
-                let (class, visited) = self.pool.walk(root, view.row(base + r));
-                *v += class as usize;
-                work += visited;
-            }
-        }
-        work
-    }
 }
 
 impl Classifier for RandomForest {
@@ -825,70 +762,8 @@ impl Classifier for RandomForest {
         self.pool.predict_with_work(features)
     }
 
-    fn predict_batch(&self, view: MatrixView<'_>) -> Vec<usize> {
-        self.predict_batch_with_work(view).0
-    }
-
-    fn predict_batch_with_work(&self, view: MatrixView<'_>) -> (Vec<usize>, u64) {
-        // Fixed-size row blocks keep the split deterministic at any
-        // thread count; each block walks the shared SoA pool in lockstep.
-        let parts = par::par_chunks(view.n_rows(), BATCH_ROWS, |r| self.pool.predict_rows(view, r));
-        let mut classes = Vec::with_capacity(view.n_rows());
-        let mut work = 0u64;
-        for (part, w) in parts {
-            classes.extend(part);
-            work += w;
-        }
-        (classes, work)
-    }
-
-    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
-        // Serial lockstep with the trees on the OUTER loop: each tree's
-        // node lanes are pulled into cache once and stay hot across the
-        // whole matrix, instead of being re-fetched per row block. The
-        // walks and work totals are node-for-node identical to the
-        // parallel batch; `out` doubles as the vote accumulator, so the
-        // only heap touch is its one-time growth to `n_rows`.
-        let n_rows = view.n_rows();
-        out.clear();
-        out.resize(n_rows, 0);
-        let work = self.lockstep_votes(view, 0..n_rows, out);
-        let n = self.pool.roots.len();
-        for votes in out.iter_mut() {
-            *votes = usize::from(*votes * 2 > n);
-        }
-        work
-    }
-
-    fn predict_batch_spans_into(
-        &self,
-        view: MatrixView<'_>,
-        spans: &[RowSpan],
-        out: &mut Vec<usize>,
-        span_work: &mut Vec<u64>,
-    ) -> u64 {
-        // Same lockstep core as `predict_batch_into`, run span by span
-        // so each span's visited-node work is attributed exactly; `out`
-        // again doubles as the vote accumulator.
-        let total_rows: usize = spans.iter().map(|s| s.len).sum();
-        out.clear();
-        out.resize(total_rows, 0);
-        span_work.clear();
-        span_work.reserve(spans.len());
-        let n = self.pool.roots.len();
-        let mut total = 0u64;
-        let mut offset = 0usize;
-        for span in spans {
-            let votes = &mut out[offset..offset + span.len];
-            let work = self.lockstep_votes(view, span.range(), votes);
-            for v in votes.iter_mut() {
-                *v = usize::from(*v * 2 > n);
-            }
-            span_work.push(work);
-            total += work;
-            offset += span.len;
-        }
-        total
+    fn predict_block(&self, view: MatrixView<'_>, rows: &[usize], out: &mut [(usize, u64)]) {
+        self.pool.predict_block(view, rows, out);
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -915,6 +790,7 @@ impl Classifier for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::RowSpan;
     use crate::matrix::gather;
 
     /// Two Gaussian-ish blobs separable on feature 0.
@@ -1127,7 +1003,7 @@ mod tests {
         }
     }
 
-    /// The span override must reproduce `predict_batch_into` exactly
+    /// The span driver must reproduce `predict_batch_into` exactly
     /// (predictions and total work) for any tiling of the matrix, with
     /// per-span work summing to the total — including spans whose length
     /// is not a multiple of the lockstep lane width.

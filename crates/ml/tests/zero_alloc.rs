@@ -4,23 +4,31 @@
 //! harness as `netsim`'s flood test; the crate-level
 //! `#![forbid(unsafe_code)]` covers `src/`, the shim lives in this
 //! integration test only). After one warm-up pass grows every reusable
-//! buffer — the caller's prediction and span-work `Vec`s, the CNN's
-//! thread-local lane block — repeated `predict_batch_into` sweeps over a
-//! random forest, repeated single-row CNN predictions and repeated CNN
-//! span-batch passes must perform **zero** heap allocations.
+//! buffer — the caller's prediction and span-work `Vec`s, the span
+//! driver's per-thread scratch, the CNN's thread-local lane block, the
+//! worker pool's job queue — repeated
+//! `predict_batch_into` sweeps over a random forest, repeated single-row
+//! CNN predictions and repeated RF, K-Means and CNN span-batch passes
+//! must perform **zero** heap allocations on the calling thread. The
+//! span passes run twice: serially, and under a 4-thread budget so the
+//! parallel block driver and its pool joins are covered too.
 //!
 //! This is the teeth behind the inference memory model: the SoA node
-//! pool walks flat slices, the lockstep CNN kernel reuses one lane block
-//! per thread, and any regression that reintroduces a per-row or
-//! per-layer `Vec` fails here rather than showing up only as a bench
-//! slowdown.
+//! pool walks flat slices, the K-Means kernel sweeps centroids
+//! flattened once at fit time, the lockstep CNN kernel reuses one lane
+//! block per thread, the block driver splits its reused scratch in
+//! place and a pool join keeps its job on the stack. Any regression
+//! that reintroduces a per-row, per-block or per-layer `Vec` fails here
+//! rather than showing up only as a bench slowdown.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ml::classifier::{Classifier, RowSpan};
 use ml::cnn::{Cnn, CnnConfig};
+use ml::kmeans::{KMeansConfig, KMeansDetector};
 use ml::matrix::FeatureMatrix;
+use ml::par;
 use ml::rf::{ForestConfig, RandomForest};
 use netsim::rng::SimRng;
 
@@ -29,9 +37,10 @@ struct CountingAllocator;
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// `true` only on the test thread (both measured paths are serial) —
-    /// the libtest main thread lazily allocates channel-wait state at a
-    /// wall-clock-dependent moment, which must not count against us.
+    /// `true` only on the test thread — the libtest main thread lazily
+    /// allocates channel-wait state at a wall-clock-dependent moment,
+    /// which must not count against us, and pool workers warm their own
+    /// thread-local buffers on their first block.
     /// Const-initialised so the allocator's read never itself allocates.
     static COUNTING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
@@ -95,14 +104,19 @@ fn steady_state_prediction_allocates_nothing() {
     .unwrap();
     let cnn_config = CnnConfig { input_len: DIMS, epochs: 1, ..CnnConfig::default() };
     let cnn = Cnn::fit_view(matrix.view(), &labels, &cnn_config, &mut rng).unwrap();
+    let kmeans =
+        KMeansDetector::fit_view(matrix.view(), &labels, &KMeansConfig::default(), &mut rng)
+            .unwrap();
+    let models: [&dyn Classifier; 3] = [&forest, &kmeans, &cnn];
 
     // Span layout of a coalesced batch: empty and one-row spans, and
     // spans that straddle lane blocks and leave a short tail block.
     let spans = [(0, 13), (13, 0), (13, 1), (14, 250), (264, 136)]
         .map(|(start, len)| RowSpan { start, len });
 
-    // Warm-up: grow the caller's output buffers and the CNN's
-    // thread-local lane block to their working set.
+    // Warm-up: grow the caller's output buffers, the driver's scratch,
+    // the CNN's thread-local lane block and the pool's job queue to
+    // their working set.
     let mut predictions = Vec::new();
     let warm_work = forest.predict_batch_into(matrix.view(), &mut predictions);
     assert!(warm_work > 0);
@@ -112,9 +126,24 @@ fn steady_state_prediction_allocates_nothing() {
     let warm_span_work =
         cnn.predict_batch_spans_into(matrix.view(), &spans, &mut cnn_classes, &mut span_work);
     let warm_classes = cnn_classes.clone();
+    // Warm span passes of every model, serial and parallel, with
+    // their results kept as the steady-state reference.
+    let span_pass = |model: &dyn Classifier, classes: &mut Vec<usize>, work: &mut Vec<u64>| {
+        let total = model.predict_batch_spans_into(matrix.view(), &spans, classes, work);
+        (classes.iter().sum::<usize>(), total)
+    };
+    let (mut classes, mut work) = (Vec::new(), Vec::new());
+    let warm_spans: Vec<(usize, u64)> = [1, 4]
+        .iter()
+        .flat_map(|&threads| {
+            par::with_threads(threads, || models.map(|m| span_pass(m, &mut classes, &mut work)))
+        })
+        .collect();
+    assert_eq!(warm_spans[..3], warm_spans[3..], "span passes are thread-count invariant");
 
-    // Steady state: full-dataset forest sweeps, per-row CNN calls and
-    // CNN span batches, with the allocator watching.
+    // Steady state: full-dataset forest sweeps, per-row CNN calls, CNN
+    // span batches and every model's span batches at 1 and 4 threads,
+    // with the allocator watching.
     COUNTING.with(|c| c.set(true));
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut checksum = 0usize;
@@ -130,6 +159,19 @@ fn steady_state_prediction_allocates_nothing() {
             cnn.predict_batch_spans_into(matrix.view(), &spans, &mut cnn_classes, &mut span_work);
         checksum += cnn_classes.iter().sum::<usize>() + work as usize;
     }
+    let mut steady_spans = [(0usize, 0u64); 6];
+    for _ in 0..3 {
+        par::with_threads(1, || {
+            for (slot, model) in models.iter().enumerate() {
+                steady_spans[slot] = span_pass(*model, &mut classes, &mut work);
+            }
+        });
+        par::with_threads(4, || {
+            for (slot, model) in models.iter().enumerate() {
+                steady_spans[3 + slot] = span_pass(*model, &mut classes, &mut work);
+            }
+        });
+    }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     COUNTING.with(|c| c.set(false));
 
@@ -139,6 +181,7 @@ fn steady_state_prediction_allocates_nothing() {
         "steady-state prediction allocated {} times (checksum {checksum})",
         after - before
     );
+    assert_eq!(steady_spans[..], warm_spans[..]);
     assert_eq!(cnn.predict(matrix.row(0)), warm_class);
     assert_eq!(cnn_classes, warm_classes);
     assert_eq!(span_work.iter().sum::<u64>(), warm_span_work);
