@@ -16,9 +16,9 @@ use capture::dataset::Dataset;
 use capture::record::{Label, PacketRecord};
 use criterion::{criterion_group, criterion_main, Criterion};
 use features::extract::WindowAggregator;
-use ids::pipeline::{IdsConfig, ModelKind, TrainedIds};
+use ids::pipeline::{detection_from_predictions, IdsConfig, ModelKind, TrainedIds};
 use ids::serving::{BackpressurePolicy, IngestQueue};
-use ml::classifier::Classifier;
+use ml::classifier::{Classifier, RowSpan};
 use ml::cnn::{Cnn, CnnConfig};
 use ml::kmeans::{KMeans, KMeansConfig};
 use ml::matrix::FeatureMatrix;
@@ -357,12 +357,16 @@ fn synth_packets(secs: u64, per_window: u64, seed: u64) -> Vec<PacketRecord> {
 /// window's records into the bounded ingest queue, drain them through
 /// the window aggregator, and classify the completed window against a
 /// trained model — the work [`ids::serving::IdsService`] does per tick
-/// and per tenant, minus the simulator around it. The queue and
-/// aggregator persist across iterations (as they do in the long-lived
-/// service): each iteration streams one epoch's records — the same
-/// window shifted by the epoch offset — whose closing record hands the
-/// previous window to the classifier, so the measured cost is the
-/// steady-state incremental path, not first-window setup.
+/// and per tenant, minus the simulator around it. Classification is the
+/// service's own pass: append the window's rows, then
+/// [`TrainedIds::classify_spans`] (arity check, scale,
+/// `predict_batch_spans_into`) and `detection_from_predictions`.
+///
+/// The queue and aggregator persist across iterations (as they do in
+/// the long-lived service): each iteration streams one epoch's records
+/// — the same window shifted by the epoch offset — whose closing record
+/// hands the previous window to the classifier, so the measured cost is
+/// the steady-state incremental path, not first-window setup.
 fn bench_serving_window(c: &mut Criterion) {
     let train = Dataset::from_records(synth_packets(20, 400, 44));
     let config = IdsConfig { holdout_fraction: 0.0, max_train_samples: 4_000, ..IdsConfig::default() };
@@ -378,6 +382,7 @@ fn bench_serving_window(c: &mut Criterion) {
 
     let mut scratch = FeatureMatrix::new(features::extract::TOTAL_FEATURES);
     let mut predictions = Vec::new();
+    let mut span_work = Vec::new();
     let mut group = c.benchmark_group("serving");
     group.sample_size(20);
     group.bench_function("serving_window_e2e", |b| {
@@ -394,10 +399,13 @@ fn bench_serving_window(c: &mut Criterion) {
             let mut detections = 0u64;
             while let Some(record) = queue.pop() {
                 if let Some(window) = aggregator.push(record) {
-                    let (detection, _) = model
-                        .try_classify_window_profiled(&window, &mut scratch, &mut predictions)
+                    scratch.clear();
+                    window.append_features(&mut scratch);
+                    let spans = [RowSpan { start: 0, len: scratch.n_rows() }];
+                    model
+                        .classify_spans(&mut scratch, &spans, &mut predictions, &mut span_work)
                         .expect("arity matches");
-                    black_box(detection);
+                    black_box(detection_from_predictions(&window, &predictions));
                     detections += 1;
                 }
             }

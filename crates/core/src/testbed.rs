@@ -16,7 +16,7 @@ use capture::sniffer::{sniffer_pair, SnifferFilter, SnifferHandle};
 use containers::meter::ResourceMeter;
 use containers::runtime::{ContainerId, ContainerSpec, Role, Runtime};
 use ids::pipeline::TrainedIds;
-use ids::realtime::{DetectionLog, RealTimeIds};
+use ids::realtime::DetectionLog;
 use ids::resources::{RobustnessReport, SustainabilityReport};
 use ids::serving::{serving_pair, ServingConfig, ServingHandle, TenantConfig, TenantCounters};
 use netsim::rng::SimRng;
@@ -297,21 +297,39 @@ impl Testbed {
     }
 
     /// Runs the real-time detection phase (the paper's 5-minute run):
-    /// installs the trained IDS into the IDS container, runs for
+    /// installs the trained IDS into the IDS container as a one-tenant
+    /// [`ids::serving::IdsService`] ([`TenantConfig::realtime`] on the
+    /// TServer tap, no challenger, retrain or chaos), runs for
     /// `duration`, and returns its per-window log plus sustainability
-    /// metrics.
+    /// metrics. The service is not finalized: the window still open when
+    /// the phase ends is never classified.
     pub fn run_live(&mut self, duration: SimDuration, ids: TrainedIds) -> LiveReport {
+        let tenants = vec![(TenantConfig::realtime("tserver"), self.sniffer.clone())];
+        let (handle, meter, sustainability) =
+            self.run_service(duration, ServingConfig::new(ids), tenants, "ids");
+        let log = handle.tenant_log("tserver").expect("the realtime tenant");
+        let mut robustness = RobustnessReport::collect(&log, &self.sniffer);
+        self.fill_lifecycle(&mut robustness);
+        let telemetry = self.telemetry();
+        LiveReport { log, sustainability, robustness, meter, telemetry }
+    }
+
+    /// Installs an [`ids::serving::IdsService`] over `tenants` into the
+    /// IDS container, with its telemetry under `scope`, and runs for
+    /// `duration`. Returns the service handle, the container's meter and
+    /// the Table II row.
+    fn run_service(
+        &mut self,
+        duration: SimDuration,
+        config: ServingConfig,
+        tenants: Vec<(TenantConfig, SnifferHandle)>,
+        scope: &str,
+    ) -> (ServingHandle, ResourceMeter, SustainabilityReport) {
         let meter = self.rt.meter(self.ids_container);
         meter.set_obs(&self.registry.scope("containers.ids"));
-        let log = DetectionLog::new();
-        let model_size_kb = ids.model().encode().len() as f64 / 1024.0;
-        let mut app = RealTimeIds::new(ids, self.sniffer.clone(), meter.clone(), log.clone());
-        app.set_obs(self.registry.scope("ids"));
-        // Wall-clock predict latency lives in its own registry: the
-        // measured numbers are host-dependent, and mixing them into the
-        // deterministic registry would break byte-identical exports.
-        let wall_registry = Registry::new();
-        app.set_wallclock_obs(wall_registry.scope("ids.wallclock"));
+        let model_size_kb = config.champion.model().encode().len() as f64 / 1024.0;
+        let (mut app, handle) = serving_pair(config, tenants, meter.clone());
+        app.set_obs(self.registry.scope(scope));
         let now = self.rt.now();
         self.rt.install(
             self.ids_container,
@@ -325,11 +343,14 @@ impl Testbed {
             memory_kb: meter.memory_peak_bytes() as f64 / 1024.0,
             model_size_kb,
         };
-        let mut robustness = RobustnessReport::collect(&log, &self.sniffer);
-        // Lifecycle accounting: container downtime, benign success
-        // rates (cumulative since deploy) and botnet eviction /
-        // reinfection counters. Everything is integer-valued, so two
-        // same-seed runs report byte-identically.
+        (handle, meter, sustainability)
+    }
+
+    /// Lifecycle accounting: container downtime, benign success rates
+    /// (cumulative since deploy) and botnet eviction / reinfection
+    /// counters. Everything is integer-valued, so two same-seed runs
+    /// report byte-identically.
+    fn fill_lifecycle(&self, robustness: &mut RobustnessReport) {
         robustness.container_downtime = self.rt.downtime_table();
         let benign = [
             self.client_stats.http.snapshot(),
@@ -344,9 +365,6 @@ impl Testbed {
         robustness.bots_evicted = bots.bots_evicted;
         robustness.reinfections = bots.reinfections;
         robustness.reinfection_latency_total_nanos = bots.reinfection_latency_total_nanos;
-        let telemetry = self.telemetry();
-        let wallclock = wall_registry.snapshot();
-        LiveReport { log, sustainability, robustness, meter, telemetry, wallclock }
     }
 
     /// Runs the long-lived serving phase: installs an
@@ -367,9 +385,6 @@ impl Testbed {
         config: ServingConfig,
         tenants: Vec<(TenantConfig, ServingTenantTarget)>,
     ) -> ServingRunReport {
-        let meter = self.rt.meter(self.ids_container);
-        meter.set_obs(&self.registry.scope("containers.ids"));
-        let model_size_kb = config.champion.model().encode().len() as f64 / 1024.0;
         let mut feeds = Vec::new();
         let mut wired = Vec::new();
         for (tenant_config, target) in tenants {
@@ -391,23 +406,9 @@ impl Testbed {
             feeds.push(feed.clone());
             wired.push((tenant_config, feed));
         }
-        let (mut app, handle) = serving_pair(config, wired, meter.clone());
-        app.set_obs(self.registry.scope("ids.serving"));
-        let now = self.rt.now();
-        self.rt.install(
-            self.ids_container,
-            Box::new(app),
-            netsim::packet::Provenance::Benign,
-            now,
-        );
-        self.rt.run_for(duration);
+        let (handle, meter, sustainability) =
+            self.run_service(duration, config, wired, "ids.serving");
         handle.finalize();
-
-        let sustainability = SustainabilityReport {
-            cpu_percent: meter.mean_cpu_percent(),
-            memory_kb: meter.memory_peak_bytes() as f64 / 1024.0,
-            model_size_kb,
-        };
         let tenant_reports: Vec<TenantReport> = handle
             .all_counters()
             .into_iter()
@@ -430,28 +431,9 @@ impl Testbed {
                 .sum(),
             feed_dropped: feeds.iter().map(|f| f.dropped_overflow()).sum(),
             feed_captured: feeds.iter().map(|f| f.captured_total()).sum(),
-            container_downtime: self.rt.downtime_table(),
-            benign_started: 0,
-            benign_completed: 0,
-            benign_failed: 0,
-            benign_retried: 0,
-            bots_evicted: 0,
-            reinfections: 0,
-            reinfection_latency_total_nanos: 0,
+            ..RobustnessReport::default()
         };
-        let benign = [
-            self.client_stats.http.snapshot(),
-            self.client_stats.video.snapshot(),
-            self.client_stats.ftp.snapshot(),
-        ];
-        robustness.benign_started = benign.iter().map(|c| c.started).sum();
-        robustness.benign_completed = benign.iter().map(|c| c.completed).sum();
-        robustness.benign_failed = benign.iter().map(|c| c.failed).sum();
-        robustness.benign_retried = benign.iter().map(|c| c.retried).sum();
-        let bots = self.botnet_stats.snapshot();
-        robustness.bots_evicted = bots.bots_evicted;
-        robustness.reinfections = bots.reinfections;
-        robustness.reinfection_latency_total_nanos = bots.reinfection_latency_total_nanos;
+        self.fill_lifecycle(&mut robustness);
 
         // Serving-chaos counters follow the capture-chaos convention:
         // exported only when armed, keeping baseline telemetry
@@ -584,9 +566,4 @@ pub struct LiveReport {
     pub meter: ResourceMeter,
     /// The run's full telemetry export (see [`Testbed::telemetry`]).
     pub telemetry: RunTelemetry,
-    /// Wall-clock reporting telemetry (per-model predict latency
-    /// histograms under `ids.wallclock.*`). Host-dependent by design and
-    /// therefore exported separately: it must never be byte-diffed or
-    /// mixed into the deterministic `telemetry` export.
-    pub wallclock: RunTelemetry,
 }

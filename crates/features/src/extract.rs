@@ -175,7 +175,7 @@ pub struct WindowAggregator {
     /// aggregates updated per record, folded (flows touched only) at
     /// close. Its scratch maps are cleared (not dropped) at every
     /// window close. Bit-identical to the batch oracle
-    /// ([`crate::window::WindowAccumulator`]).
+    /// ([`crate::window::WindowStats::compute_streaming`]).
     delta: FlowDelta,
     /// Whether the in-progress window tracks full statistics or only
     /// handshake state (its stats will come from the refresh cache).

@@ -1,6 +1,5 @@
-//! Generation-stamped maps over persistent key sets — the shared state
-//! layer under both the batch [`crate::window::WindowAccumulator`]
-//! oracle and the incremental [`crate::incremental::FlowDelta`] path.
+//! Generation-stamped maps over persistent key sets — the state layer
+//! under the incremental [`crate::incremental::FlowDelta`] path.
 //!
 //! A [`GenMap`] keeps its hash slots alive across windows while making
 //! stale values invisible through a `u32` generation stamp, so window

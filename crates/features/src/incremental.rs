@@ -1,21 +1,21 @@
 //! Incremental per-flow feature state: busy-window cost scales with
 //! *new* records only.
 //!
-//! The batch oracle ([`crate::window::WindowAccumulator`]) updates
-//! three per-record count maps (destination port, source address, flow
-//! five-tuple) on every push and re-walks the record slice at close for
-//! the order-sensitive mean/std sweeps. [`FlowDelta`] collapses the
-//! per-record map work to **one** [`GenMap`] update — the flow's
-//! running aggregate ([`FlowAgg`]: packet/byte counts and timestamp
-//! span) — and recovers the port/address distributions at window close
-//! by folding only the flows touched since the last boundary: each
-//! record belongs to exactly one flow, and the flow key carries the
-//! destination port and source address, so summing `FlowAgg::packets`
-//! per port (and per address) reproduces the per-record tallies
-//! exactly. Every downstream reduction over those counts is
-//! order-insensitive (entropy sorts, the top-port fold is a plain max,
-//! short-lived/repeated-SYN are count filters), so the fold order
-//! cannot leak into any output.
+//! The batch oracle ([`crate::window::WindowStats::compute_streaming`])
+//! builds three per-record count maps (destination port, source
+//! address, flow five-tuple) from the window's record slice and walks
+//! it again for the order-sensitive mean/std sweeps. [`FlowDelta`]
+//! collapses the per-record map work to **one** [`GenMap`] update —
+//! the flow's running aggregate ([`FlowAgg`]: packet/byte counts and
+//! timestamp span) — and recovers the port/address distributions at
+//! window close by folding only the flows touched since the last
+//! boundary: each record belongs to exactly one flow, and the flow key
+//! carries the destination port and source address, so summing
+//! `FlowAgg::packets` per port (and per address) reproduces the
+//! per-record tallies exactly. Every downstream reduction over those
+//! counts is order-insensitive (entropy sorts, the top-port fold is a
+//! plain max, short-lived/repeated-SYN are count filters), so the fold
+//! order cannot leak into any output.
 //!
 //! The two order-sensitive features (packet-length and TCP
 //! sequence-number mean/std, two-pass sweeps in record order) are fed
@@ -147,9 +147,8 @@ impl FlowDelta {
     /// slice — computing its statistics and the handshake carry for the
     /// next window, then resets (keeping map capacity).
     ///
-    /// Bit-identical to [`crate::window::WindowAccumulator::close`] /
-    /// [`WindowStats::compute_streaming`] over the records pushed since
-    /// the last boundary.
+    /// Bit-identical to [`WindowStats::compute_streaming`] over the
+    /// records pushed since the last boundary.
     pub fn close(
         &mut self,
         span_secs: f64,
@@ -316,7 +315,6 @@ impl FlowDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::WindowAccumulator;
     use capture::record::Label;
     use netsim::time::SimTime;
     use netsim::Addr;
@@ -380,28 +378,97 @@ mod tests {
         windows
     }
 
-    /// The incremental path must be bit-identical to the batch oracle,
-    /// window after window, including the handshake carry chain.
+    /// The incremental path must be bit-identical to the batch oracle
+    /// ([`WindowStats::compute_streaming`] for fresh windows,
+    /// [`AckGrace::advance`] for handshake-only ones), window after
+    /// window, including the handshake carry chain. Every third window
+    /// is handshake-only, as with `stats_refresh = 3`.
     #[test]
     fn flow_delta_matches_batch_oracle() {
         let windows = windows_by_second(scrambled_records(4_000, 0x5eed));
         assert!(windows.len() > 10, "stream must span many windows");
 
         let mut delta = FlowDelta::new();
-        let mut oracle = WindowAccumulator::new();
         let mut delta_carry = AckGrace::default();
         let mut oracle_carry = AckGrace::default();
         for (i, window) in windows.iter().enumerate() {
             let end = (i + 1) as f64;
+            if i % 3 == 2 {
+                for r in window {
+                    delta.push_handshake_only(r);
+                }
+                delta_carry = delta.advance_carry(end, 0.1);
+                oracle_carry = oracle_carry.advance(window, end, 0.1);
+                assert_eq!(delta_carry, oracle_carry, "window {i} carry diverged");
+                continue;
+            }
             for r in window {
                 delta.push(r);
-                oracle.push(r);
             }
             assert_eq!(delta.state_conservation_violation(), None, "window {i}");
-            let (oracle_stats, oracle_next) = oracle.close(window, 1.0, end, 0.1, &oracle_carry);
+            let (oracle_stats, oracle_next) =
+                WindowStats::compute_streaming(window, 1.0, end, 0.1, &oracle_carry);
             let (delta_stats, delta_next) = delta.close(1.0, end, 0.1, &delta_carry);
             assert_eq!(delta_stats, oracle_stats, "window {i} stats diverged");
             assert_eq!(delta_next, oracle_next, "window {i} carry diverged");
+            delta_carry = delta_next;
+            oracle_carry = oracle_next;
+        }
+    }
+
+    /// Persistent keys must never leak *values* across windows: an ACK
+    /// timestamp recorded for an endpoint in one window sits in the map
+    /// with a stale generation afterwards, and a bare SYN from the same
+    /// endpoint in the next window must still count as unanswered.
+    #[test]
+    fn stale_generation_handshake_state_is_invisible() {
+        let ack = PacketRecord { flags: TcpFlags::ACK, ..scrambled_records(1, 0x5a1e)[0] };
+        let ack = PacketRecord { protocol: Protocol::Tcp, ts: SimTime::from_millis(100), ..ack };
+        let mut delta = FlowDelta::new();
+        delta.push(&ack);
+        let (w0, carry) = delta.close(1.0, 1.0, 0.1, &AckGrace::default());
+        assert_eq!(w0.syn_without_ack, 0.0);
+
+        // Same endpoint, next window, SYN never answered — and sent well
+        // before the boundary so the grace deferral doesn't apply.
+        let syn = PacketRecord { flags: TcpFlags::SYN, ts: SimTime::from_millis(1_100), ..ack };
+        delta.push(&syn);
+        let (w1, _) = delta.close(1.0, 2.0, 0.1, &carry);
+        assert_eq!(w1.syn_without_ack, 1.0, "stale first-ACK timestamp must not resolve a new SYN");
+    }
+
+    /// A huge key burst followed by many sparse windows crosses the
+    /// stale-key compaction threshold; the culled state must keep
+    /// matching the batch oracle exactly.
+    #[test]
+    fn flow_delta_survives_stale_key_compaction() {
+        let burst = scrambled_records(2_000, 0xb0a7);
+        let mut delta = FlowDelta::new();
+        let mut delta_carry = AckGrace::default();
+        let mut oracle_carry = AckGrace::default();
+        for round in 0..40u16 {
+            let window: Vec<PacketRecord> = if round == 0 {
+                // ~2 000 records over distinct flows and endpoints.
+                burst
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| PacketRecord { src_port: 1024 + i as u16, ..*r })
+                    .collect()
+            } else {
+                burst[..5]
+                    .iter()
+                    .map(|r| PacketRecord { src_port: 40_000 + round, ..*r })
+                    .collect()
+            };
+            let end = f64::from(round + 1) * 1e3;
+            for r in &window {
+                delta.push(r);
+            }
+            let (oracle_stats, oracle_next) =
+                WindowStats::compute_streaming(&window, 1.0, end, 0.1, &oracle_carry);
+            let (delta_stats, delta_next) = delta.close(1.0, end, 0.1, &delta_carry);
+            assert_eq!(delta_stats, oracle_stats, "round {round}");
+            assert_eq!(delta_next, oracle_next, "round {round}");
             delta_carry = delta_next;
             oracle_carry = oracle_next;
         }

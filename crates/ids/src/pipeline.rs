@@ -6,7 +6,7 @@ use capture::record::Label;
 use features::extract::{extract_matrix, Window, TOTAL_FEATURES};
 use features::scaling::{Scaler, ScalingMethod};
 use ml::autoencoder::{Autoencoder, AutoencoderConfig};
-use ml::classifier::{evaluate_view, Classifier, TrainError};
+use ml::classifier::{evaluate_view, Classifier, RowSpan, TrainError};
 use ml::matrix::{gather, FeatureMatrix, MatrixView};
 use ml::cnn::{Cnn, CnnConfig};
 use ml::iforest::{IsolationForest, IsolationForestConfig};
@@ -201,101 +201,30 @@ impl TrainedIds {
         &self.scaler
     }
 
-    /// Classifies every packet of a completed window, returning the
-    /// per-window detection result (the paper's per-second accuracy).
-    pub fn classify_window(&self, window: &Window) -> WindowDetection {
-        let mut scratch = FeatureMatrix::new(TOTAL_FEATURES);
-        let mut predictions = Vec::new();
-        self.classify_window_into(window, &mut scratch, &mut predictions)
-    }
-
-    /// Like [`TrainedIds::classify_window`], but extracts features into a
-    /// caller-owned scratch matrix and predicts into a caller-owned
-    /// buffer, so a detection loop allocates nothing per window after
-    /// warm-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was not created with [`TOTAL_FEATURES`]
-    /// columns.
-    pub fn classify_window_into(
-        &self,
-        window: &Window,
-        scratch: &mut FeatureMatrix,
-        predictions: &mut Vec<usize>,
-    ) -> WindowDetection {
-        self.classify_window_profiled(window, scratch, predictions).0
-    }
-
-    /// Like [`TrainedIds::classify_window_into`], but also returns the
-    /// window's [`WindowProfile`]: the deterministic work units the
-    /// model's predict path performed (see
-    /// [`Classifier::predict_with_work`]) — the profiling signal the
-    /// real-time IDS feeds into its telemetry histograms — plus the
-    /// wall-clock time the predict call took, which may only ever feed
-    /// reporting surfaces (never control flow or deterministic
-    /// telemetry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was not created with [`TOTAL_FEATURES`]
-    /// columns or the fitted scaler's arity does not match the feature
-    /// layout. Long-lived serving loops should prefer
-    /// [`TrainedIds::try_classify_window_profiled`], which reports those
-    /// conditions as a [`ClassifyError`] instead so a bad hot-swapped
-    /// model degrades windows rather than killing the service.
-    pub fn classify_window_profiled(
-        &self,
-        window: &Window,
-        scratch: &mut FeatureMatrix,
-        predictions: &mut Vec<usize>,
-    ) -> (WindowDetection, WindowProfile) {
-        self.try_classify_window_profiled(window, scratch, predictions)
-            .unwrap_or_else(|e| panic!("classify_window: {e}"))
-    }
-
-    /// Fallible core of [`TrainedIds::classify_window_profiled`]: arity
-    /// mismatches between the scratch matrix, the fitted scaler, and the
-    /// feature layout come back as a [`ClassifyError`] instead of a
-    /// panic, so overload paths can account the window as degraded and
-    /// keep serving.
+    /// The one classify pass of the detection loop: checks the arity
+    /// preconditions (once per coalesced batch: they depend only on the
+    /// scratch matrix and the fitted scaler, never on the windows),
+    /// scales `scratch` (every window's feature rows, back to back) in
+    /// place and predicts every [`RowSpan`] in one
+    /// [`Classifier::predict_batch_spans_into`] call. Fills
+    /// `predictions` (one class per row) and `span_work` (deterministic
+    /// work units per span) and returns the total work.
     ///
     /// # Errors
     ///
-    /// Returns [`ClassifyError::ScratchArity`] when `scratch` was not
-    /// created with [`TOTAL_FEATURES`] columns, and
-    /// [`ClassifyError::ScalerArity`] when the fitted scaler expects a
-    /// different feature count (e.g. a model assembled via
-    /// [`TrainedIds::from_parts`] from an incompatible pipeline was
-    /// swapped in).
-    pub fn try_classify_window_profiled(
+    /// [`ClassifyError::ScratchArity`] when `scratch` was not created
+    /// with [`TOTAL_FEATURES`] columns, and [`ClassifyError::ScalerArity`]
+    /// when the fitted scaler expects a different feature count (e.g. a
+    /// model assembled via [`TrainedIds::from_parts`] from an
+    /// incompatible pipeline was swapped in). Either way `scratch` is
+    /// left unscaled and nothing is predicted.
+    pub fn classify_spans(
         &self,
-        window: &Window,
         scratch: &mut FeatureMatrix,
+        spans: &[RowSpan],
         predictions: &mut Vec<usize>,
-    ) -> Result<(WindowDetection, WindowProfile), ClassifyError> {
-        self.check_classify_arity(scratch)?;
-        scratch.clear();
-        window.append_features(scratch);
-        self.scaler.transform_matrix(scratch);
-        let predict_started = std::time::Instant::now();
-        let work = self.model.predict_batch_into(scratch.view(), predictions);
-        let predict_wall_ns = predict_started.elapsed().as_nanos() as u64;
-        let detection = detection_from_predictions(window, predictions);
-        Ok((detection, WindowProfile { work_units: work, predict_wall_ns }))
-    }
-
-    /// The arity preconditions of a classify pass, shared by the
-    /// per-window path and the serving layer's coalesced batch (which
-    /// checks once per batch instead of once per window — the checks
-    /// depend only on the scratch matrix and the fitted scaler, never on
-    /// the windows).
-    ///
-    /// # Errors
-    ///
-    /// The same [`ClassifyError`] variants as
-    /// [`TrainedIds::try_classify_window_profiled`].
-    pub fn check_classify_arity(&self, scratch: &FeatureMatrix) -> Result<(), ClassifyError> {
+        span_work: &mut Vec<u64>,
+    ) -> Result<u64, ClassifyError> {
         if scratch.n_cols() != TOTAL_FEATURES {
             return Err(ClassifyError::ScratchArity {
                 expected: TOTAL_FEATURES,
@@ -308,7 +237,8 @@ impl TrainedIds {
                 got: self.scaler.dims(),
             });
         }
-        Ok(())
+        self.scaler.transform_matrix(scratch);
+        Ok(self.model.predict_batch_spans_into(scratch.view(), spans, predictions, span_work))
     }
 }
 
@@ -373,19 +303,6 @@ impl std::fmt::Display for ClassifyError {
 }
 
 impl std::error::Error for ClassifyError {}
-
-/// Profiling signals of one classified window.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowProfile {
-    /// Deterministic model work units (RF: nodes visited; CNN: MACs;
-    /// K-Means: distance multiply-adds). A pure function of model and
-    /// input — safe to export in byte-identical telemetry.
-    pub work_units: u64,
-    /// Wall-clock nanoseconds the predict call took. Host-dependent:
-    /// feeds the wall-clock reporting registry and the sustainability
-    /// meter only, never deterministic telemetry or control flow.
-    pub predict_wall_ns: u64,
-}
 
 /// Trains the concrete model behind the [`Classifier`] interface.
 pub fn train_model(
@@ -538,6 +455,16 @@ mod tests {
         Dataset::from_records(records)
     }
 
+    /// One window through the detection loop's classify pass.
+    fn classify(ids: &TrainedIds, window: &Window) -> Result<WindowDetection, ClassifyError> {
+        let mut scratch = FeatureMatrix::new(TOTAL_FEATURES);
+        window.append_features(&mut scratch);
+        let span = RowSpan { start: 0, len: scratch.n_rows() };
+        let mut predictions = Vec::new();
+        ids.classify_spans(&mut scratch, &[span], &mut predictions, &mut Vec::new())?;
+        Ok(detection_from_predictions(window, &predictions))
+    }
+
     #[test]
     fn all_three_models_train_and_detect() {
         let capture = synthetic_capture(30, 3);
@@ -562,7 +489,7 @@ mod tests {
             let mut correct = 0usize;
             let mut total = 0usize;
             for w in &windows {
-                let det = outcome.ids.classify_window(w);
+                let det = classify(&outcome.ids, w).expect("arity matches");
                 correct += det.correct;
                 total += det.packets;
             }
@@ -623,11 +550,7 @@ mod tests {
 
         let live = synthetic_capture(2, 2);
         let windows = features::extract::windows_of(&live, 1);
-        let mut scratch = FeatureMatrix::new(TOTAL_FEATURES);
-        let mut predictions = Vec::new();
-        let err = bad_ids
-            .try_classify_window_profiled(&windows[0], &mut scratch, &mut predictions)
-            .unwrap_err();
+        let err = classify(&bad_ids, &windows[0]).unwrap_err();
         assert_eq!(err, ClassifyError::ScalerArity { expected: TOTAL_FEATURES, got: 2 });
         assert!(err.to_string().contains("scaler fitted for 2 features"));
 
@@ -641,10 +564,9 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let mut bad_scratch = FeatureMatrix::new(3);
         let err = outcome
             .ids
-            .try_classify_window_profiled(&windows[0], &mut bad_scratch, &mut predictions)
+            .classify_spans(&mut FeatureMatrix::new(3), &[], &mut Vec::new(), &mut Vec::new())
             .unwrap_err();
         assert_eq!(err, ClassifyError::ScratchArity { expected: TOTAL_FEATURES, got: 3 });
     }

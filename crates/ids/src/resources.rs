@@ -51,7 +51,7 @@ impl std::fmt::Display for SustainabilityReport {
 ///
 /// All fields are integers so two same-seed runs serialize and print
 /// byte-identically.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RobustnessReport {
     /// Windows the IDS logged (classified, whether healthy or degraded).
     pub windows_total: usize,
@@ -100,19 +100,9 @@ impl RobustnessReport {
         RobustnessReport {
             windows_total: log.len(),
             windows_degraded: log.degraded_count(),
-            windows_shed: 0,
-            records_shed: 0,
-            records_sampled_out: 0,
             feed_dropped: feed.dropped_overflow(),
             feed_captured: feed.captured_total(),
-            container_downtime: Vec::new(),
-            benign_started: 0,
-            benign_completed: 0,
-            benign_failed: 0,
-            benign_retried: 0,
-            bots_evicted: 0,
-            reinfections: 0,
-            reinfection_latency_total_nanos: 0,
+            ..RobustnessReport::default()
         }
     }
 

@@ -1,8 +1,12 @@
-//! The long-lived IDS serving layer: bounded ingestion, model
-//! hot-swap, shadow evaluation, and multi-link tenancy.
+//! The IDS detection loop: bounded ingestion, model hot-swap, shadow
+//! evaluation, and multi-link tenancy.
 //!
-//! [`IdsService`] restructures the per-run [`crate::realtime`] pipeline
-//! into a production-style service:
+//! [`IdsService`] is the only implementation of the paper's Real-Time
+//! IDS Unit (sniff, window features, classify, log). The paper's
+//! single-link IDS is one tenant ([`TenantConfig::realtime`]) with no
+//! challenger, retrain or chaos, which is what
+//! `Testbed::run_live` installs; the long-lived serving deployment adds
+//! the rest:
 //!
 //! * **Bounded ingestion.** Each tenant owns an [`IngestQueue`] between
 //!   its sniffer drain and feature extraction, with an explicit
@@ -23,6 +27,8 @@
 //! * **Multi-link tenancy.** One service instance monitors several
 //!   links; budgets (per-tick processing budget, modelled cost) are per
 //!   tenant, so one tenant's overload degrades only its own windows.
+//!   Modelled cost always comes from the tenant's
+//!   [`crate::realtime::OverloadPolicy`].
 //!
 //! Determinism contract: all control flow runs on modelled cost, the
 //! sim clock, and buggify-style chaos streams keyed by
@@ -47,12 +53,12 @@ use netsim::buggify::{stream_seed, DecisionPoint};
 use netsim::rng::SimRng;
 use netsim::time::{SimDuration, SimTime};
 use netsim::world::{App, Ctx};
-use obs::{Counter, Gauge, Scope};
+use obs::{pow2_bounds, Counter, Gauge, Histogram, Scope};
 
 use ml::classifier::RowSpan;
 
 use crate::pipeline::{detection_from_predictions, ModelKind, TrainedIds, WindowDetection};
-use crate::realtime::DetectionLog;
+use crate::realtime::{DetectionLog, OverloadPolicy};
 
 /// What a tenant does when its ingestion queue is full (or chaos
 /// pretends it is).
@@ -86,21 +92,17 @@ impl BackpressurePolicy {
     }
 }
 
-/// Per-tenant modelled compute budget. Mirrors
-/// [`crate::realtime::OverloadPolicy`], with one extra rung on the
-/// degradation ladder: a window whose modelled cost exceeds
-/// `shed_factor ×` the window interval is shed whole (accounted, never
-/// classified) instead of merely marked degraded.
+/// Per-tenant processing budget: how much the tenant may extract per
+/// tick, and the extra rung on the degradation ladder above
+/// [`OverloadPolicy`]'s "late ⇒ degraded": a window whose modelled cost
+/// exceeds `shed_factor ×` the window interval is shed whole
+/// (accounted, never classified) instead of merely marked degraded.
 #[derive(Debug, Clone, Copy)]
 pub struct TenantBudget {
     /// Records the tenant may move from its queue into feature
     /// extraction per service tick. The queue absorbs the rest — this
     /// is what makes the bound meaningful under flood.
     pub drain_records_per_tick: usize,
-    /// Modelled cost per classified packet, in seconds.
-    pub per_packet_cost_secs: f64,
-    /// Modelled fixed cost per window, in seconds.
-    pub per_window_overhead_secs: f64,
     /// Multiple of the window interval beyond which a window is shed
     /// whole rather than classified late.
     pub shed_factor: f64,
@@ -108,21 +110,7 @@ pub struct TenantBudget {
 
 impl Default for TenantBudget {
     fn default() -> Self {
-        TenantBudget {
-            drain_records_per_tick: 4_096,
-            per_packet_cost_secs: 2e-6,
-            per_window_overhead_secs: 1e-4,
-            shed_factor: 8.0,
-        }
-    }
-}
-
-impl TenantBudget {
-    /// Modelled detection seconds for a window of `packets` packets
-    /// under `pressure`.
-    pub fn modelled_cost_secs(&self, packets: usize, pressure: f64) -> f64 {
-        (self.per_window_overhead_secs + self.per_packet_cost_secs * packets as f64)
-            * pressure.max(0.0)
+        TenantBudget { drain_records_per_tick: 4_096, shed_factor: 8.0 }
     }
 }
 
@@ -135,24 +123,39 @@ pub struct TenantConfig {
     pub queue_capacity: usize,
     /// What happens when the queue is full.
     pub policy: BackpressurePolicy,
-    /// The tenant's compute budget.
+    /// The tenant's per-tick extraction budget and shed threshold.
     pub budget: TenantBudget,
-    /// Bound applied to the tenant's sniffer feed on start (`None`
-    /// leaves it unbounded).
-    pub feed_capacity: Option<usize>,
+    /// The tenant's modelled per-window cost and sniffer-feed bound.
+    pub overload: OverloadPolicy,
 }
 
 impl TenantConfig {
     /// A tenant with the given name and defaults everywhere else:
-    /// 8192-record queue, drop-oldest, default budget, 65536-record
-    /// feed bound.
+    /// 8192-record queue, drop-oldest, default budget, default
+    /// [`OverloadPolicy`] (65536-record feed bound).
     pub fn new(name: impl Into<String>) -> Self {
         TenantConfig {
             name: name.into(),
             queue_capacity: 8_192,
             policy: BackpressurePolicy::DropOldest,
             budget: TenantBudget::default(),
-            feed_capacity: Some(65_536),
+            overload: OverloadPolicy::default(),
+        }
+    }
+
+    /// The paper's real-time IDS as a tenant: every tick drains and
+    /// extracts the whole feed (queue and per-tick budget both equal the
+    /// feed bound, block-upstream), and overload only ever marks a
+    /// window degraded, never sheds it (`shed_factor` infinite).
+    pub fn realtime(name: impl Into<String>) -> Self {
+        let overload = OverloadPolicy::default();
+        let bound = overload.feed_capacity.unwrap_or(usize::MAX);
+        TenantConfig {
+            name: name.into(),
+            queue_capacity: bound,
+            policy: BackpressurePolicy::BlockUpstream,
+            budget: TenantBudget { drain_records_per_tick: bound, shed_factor: f64::INFINITY },
+            overload,
         }
     }
 }
@@ -587,7 +590,12 @@ struct StagedSwap {
     ready_tick: u64,
 }
 
-/// Service-level deterministic instruments.
+/// Service-level deterministic instruments, including the per-window
+/// detection figures summed over every tenant. Stage timings come from
+/// each tenant's modelled cost under injected pressure (the numbers
+/// that decide degradation) and the predict profile counts model work
+/// units, so wall-clock time never enters and the export stays
+/// byte-identical across same-seed runs.
 #[derive(Debug)]
 struct ServiceObs {
     scope: Scope,
@@ -601,11 +609,24 @@ struct ServiceObs {
     /// Distinct flows folded at window close across every tenant's
     /// incremental extractor (`features.incremental.flows_touched`).
     flows_touched: Counter,
+    /// Windows logged (classified or degraded).
+    windows: Counter,
+    packets_classified: Counter,
+    /// Windows whose modelled cost exceeded the window interval.
+    budget_exceeded: Counter,
+    classify_errors: Counter,
+    extract_ns: Histogram,
+    classify_ns: Histogram,
+    predict_work: Histogram,
 }
 
 impl ServiceObs {
     fn new(scope: Scope) -> Self {
         let incremental = scope.registry().scope("features.incremental");
+        // Modelled stage costs: ~1 µs up to ~17 s of modelled time.
+        let ns_bounds = pow2_bounds(10, 34);
+        // Predict work units (nodes / MACs / distance ops) per window.
+        let work_bounds = pow2_bounds(4, 30);
         ServiceObs {
             swaps: scope.counter("swaps"),
             retrains: scope.counter("retrains"),
@@ -613,6 +634,13 @@ impl ServiceObs {
             generation: scope.gauge("generation"),
             batch_rows: scope.counter("batch_rows"),
             flows_touched: incremental.counter("flows_touched"),
+            windows: scope.counter("windows"),
+            packets_classified: scope.counter("packets_classified"),
+            budget_exceeded: scope.counter("budget_exceeded"),
+            classify_errors: scope.counter("classify_errors"),
+            extract_ns: scope.histogram("extract_modelled_ns", &ns_bounds),
+            classify_ns: scope.histogram("classify_modelled_ns", &ns_bounds),
+            predict_work: scope.histogram("predict_work_units", &work_bounds),
             scope,
         }
     }
@@ -826,13 +854,7 @@ impl ServingCore {
             self.ingest_tenant(t, now);
         }
         let classified_packets = self.classify_batch(now, pressure);
-
-        for tenant in &self.tenants {
-            if let Some(obs) = &tenant.obs {
-                obs.queue_depth.set(tenant.queue.len() as i64);
-                obs.queue_high_water.set_max(tenant.queue.high_water() as i64);
-            }
-        }
+        self.sync_counters();
         classified_packets
     }
 
@@ -962,7 +984,7 @@ impl ServingCore {
             let tenant = &mut self.tenants[t];
             let affected = tenant.affected_pending.remove(&window.index);
             let modelled_secs =
-                tenant.config.budget.modelled_cost_secs(window.records.len(), pressure);
+                tenant.config.overload.modelled_cost_secs(window.records.len(), pressure);
             let shed_threshold =
                 window_interval_secs * tenant.config.budget.shed_factor.max(1.0);
             if modelled_secs > shed_threshold {
@@ -997,25 +1019,18 @@ impl ServingCore {
         // One arity check, one transform, one predict for the whole
         // batch. The checks depend only on the scratch matrix and the
         // fitted scaler — a failure (bad hot-swapped model) degrades
-        // every window of the batch, exactly as the per-window path
-        // degraded each of them individually.
+        // every window of the batch.
         let champion = self.champion.load();
-        let champion_ok = match champion.value.check_classify_arity(&self.scratch) {
-            Ok(()) => {
-                champion.value.scaler().transform_matrix(&mut self.scratch);
-                champion.value.model().predict_batch_spans_into(
-                    self.scratch.view(),
-                    &self.spans,
-                    &mut self.predictions,
-                    &mut self.span_work,
-                );
-                if let Some(obs) = &self.obs {
-                    obs.batch_rows.add(row_start as u64);
-                }
-                true
-            }
-            Err(_) => false,
-        };
+        let champion_result = champion.value.classify_spans(
+            &mut self.scratch,
+            &self.spans,
+            &mut self.predictions,
+            &mut self.span_work,
+        );
+        let champion_ok = champion_result.is_ok();
+        if let (true, Some(obs)) = (champion_ok, &self.obs) {
+            obs.batch_rows.add(row_start as u64);
+        }
 
         // Shadow evaluation: the challenger scores the same coalesced
         // batch through its own scaler and scratch, but never emits;
@@ -1029,16 +1044,15 @@ impl ServingCore {
             for meta in &self.batch_meta {
                 self.completed[meta.window].append_features(&mut self.challenger_scratch);
             }
-            if challenger.value.check_classify_arity(&self.challenger_scratch).is_ok() {
-                challenger.value.scaler().transform_matrix(&mut self.challenger_scratch);
-                challenger.value.model().predict_batch_spans_into(
-                    self.challenger_scratch.view(),
+            challenger_ok = challenger
+                .value
+                .classify_spans(
+                    &mut self.challenger_scratch,
                     &self.spans,
                     &mut self.challenger_predictions,
                     &mut self.challenger_span_work,
-                );
-                challenger_ok = true;
-            }
+                )
+                .is_ok();
         }
 
         // Verdict pass, in the same tenant-then-window order: fold each
@@ -1048,13 +1062,7 @@ impl ServingCore {
             let window = &self.completed[meta.window];
             let tenant = &mut self.tenants[meta.tenant];
             let span = self.spans[j];
-            let mut detection = if champion_ok {
-                detection_from_predictions(window, &self.predictions[span.range()])
-            } else {
-                let e = champion
-                    .value
-                    .check_classify_arity(&self.scratch)
-                    .expect_err("checked above");
+            let mut detection = if let Err(e) = &champion_result {
                 tenant.counters.classify_errors += 1;
                 if let Some(obs) = &tenant.obs {
                     obs.classify_errors.inc();
@@ -1076,9 +1084,33 @@ impl ServingCore {
                     generation: champion.generation,
                     degraded: true,
                 }
+            } else {
+                detection_from_predictions(window, &self.predictions[span.range()])
             };
             detection.generation = champion.generation;
             detection.degraded |= meta.late || meta.affected;
+            if let Some(obs) = &self.obs {
+                obs.windows.inc();
+                if champion_ok {
+                    let packets = window.records.len();
+                    let (extract_ns, classify_ns) =
+                        tenant.config.overload.stage_costs_ns(packets, pressure);
+                    obs.packets_classified.add(packets as u64);
+                    obs.extract_ns.observe(extract_ns);
+                    obs.classify_ns.observe(classify_ns);
+                    obs.predict_work.observe(self.span_work[j]);
+                    if meta.late {
+                        obs.budget_exceeded.inc();
+                        obs.scope.event(
+                            now.as_nanos(),
+                            "degraded_window",
+                            format!("w={} packets={packets}", window.index),
+                        );
+                    }
+                } else {
+                    obs.classify_errors.inc();
+                }
+            }
 
             if champion_ok && challenger_ok {
                 let shadow =
@@ -1305,7 +1337,7 @@ impl App for IdsService {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let core = self.core.borrow();
         for tenant in &core.tenants {
-            if let Some(capacity) = tenant.config.feed_capacity {
+            if let Some(capacity) = tenant.config.overload.feed_capacity {
                 tenant.feed.set_capacity(Some(capacity));
             }
         }
@@ -1443,9 +1475,14 @@ impl ServingHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{train_model, IdsConfig};
     use capture::record::Label;
+    use capture::sniffer::{sniffer_pair, SnifferFilter};
+    use features::scaling::{Scaler, ScalingMethod};
+    use ml::kmeans::KMeansConfig;
     use netsim::packet::Protocol;
-    use netsim::Addr;
+    use netsim::tap::{PacketTap, TapMeta};
+    use netsim::{Addr, LinkId, NodeId, Packet};
 
     fn record(secs: u64, offset_ms: u64) -> PacketRecord {
         PacketRecord {
@@ -1558,6 +1595,59 @@ mod tests {
         assert!(bad.conservation_violation().unwrap().contains("windows unaccounted"));
         let bad = TenantCounters { records_shed: 0, ..good };
         assert!(bad.conservation_violation().unwrap().contains("records unaccounted"));
+    }
+
+    /// A K-Means IDS over the full feature layout, fitted on two
+    /// synthetic clusters.
+    fn tiny_ids() -> TrainedIds {
+        let mut rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![f64::from(i % 2) * 10.0 + f64::from(i) * 0.01; TOTAL_FEATURES])
+            .collect();
+        let labels: Vec<usize> = (0..40).map(|i| i % 2).collect();
+        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut rows);
+        let kind = ModelKind::KMeans(KMeansConfig { k_max: 2, ..KMeansConfig::default() });
+        let model =
+            train_model(&kind, &rows, &labels, &mut SimRng::seed_from(3)).expect("two classes");
+        TrainedIds::from_parts(model, scaler, IdsConfig::default())
+    }
+
+    /// One service tick at 5000× CPU pressure over four complete
+    /// 1000-record windows (plus the record that closes the last one):
+    /// each window's modelled cost is 10.5 s, past the default 8-window
+    /// shed threshold.
+    fn tick_under_pressure(tenant: TenantConfig) -> (DetectionLog, TenantCounters) {
+        let (mut tap, feed) = sniffer_pair(SnifferFilter::All);
+        let (src, dst) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
+        let packet = Packet::udp(src, dst, 1000, 80, Default::default());
+        for ms in 0..4_001 {
+            let meta = TapMeta {
+                time: SimTime::from_millis(ms),
+                link: LinkId::from_raw(0),
+                receiver: NodeId::from_raw(0),
+            };
+            tap.on_packet(&meta, &packet);
+        }
+        let name = tenant.name.clone();
+        let config = ServingConfig::new(tiny_ids());
+        let (service, handle) = serving_pair(config, vec![(tenant, feed)], ResourceMeter::new());
+        service.core.borrow_mut().tick(SimTime::from_secs(5), 5_000.0);
+        let log = handle.tenant_log(&name).expect("tenant exists");
+        (log, handle.tenant_counters(&name).expect("tenant exists"))
+    }
+
+    /// The realtime tenant marks overloaded windows degraded but never
+    /// sheds them; a default tenant sheds the same windows whole.
+    #[test]
+    fn realtime_tenant_degrades_but_never_sheds() {
+        let (log, counters) = tick_under_pressure(TenantConfig::realtime("realtime"));
+        assert_eq!(log.len(), 4);
+        assert_eq!(log.degraded_count(), 4, "{}", log.serialize_compact());
+        assert_eq!(counters.windows_shed, 0);
+        assert_eq!(counters.windows_degraded, 4);
+
+        let (log, counters) = tick_under_pressure(TenantConfig::new("default"));
+        assert!(log.is_empty(), "{}", log.serialize_compact());
+        assert_eq!(counters.windows_shed, 4);
     }
 
     #[test]

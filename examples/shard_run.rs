@@ -3,7 +3,7 @@
 //! log and telemetry section.
 //!
 //! Every line printed is a pure function of the seed and scale — the
-//! shard count is *not* part of that function. The CI `shard-smoke`
+//! shard count is *not* part of that function. The CI `smoke` (shard_run)
 //! job runs this at `--shards 1`, `2` and `8` with the same seed and
 //! diffs the full output byte for byte.
 //!
